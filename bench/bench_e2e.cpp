@@ -172,11 +172,11 @@ Cell run_steady(std::uint16_t port, std::size_t clients,
 /// Open-loop run over a precomputed per-client arrival schedule (ns from
 /// start). Each client splits into a sender thread (fires requests at
 /// their scheduled instants — or as soon after as the socket allows) and
-/// a reader thread; the two halves of the Client touch disjoint state
-/// (send path / receive path), which is the one concurrent use the class
-/// supports. Latency is measured from the SCHEDULED instant, so send-side
-/// stalls count as latency instead of silently thinning the load
-/// (coordinated omission).
+/// a reader thread; one sender and one reader sharing a Client is the one
+/// concurrent use the class supports (it locks the frames they share).
+/// Latency is measured from the SCHEDULED instant, so send-side stalls
+/// count as latency instead of silently thinning the load (coordinated
+/// omission).
 Cell run_open(std::uint16_t port, std::size_t clients,
               const std::vector<std::int64_t>& schedule_ns,
               const fp::Format& fmt) {

@@ -9,11 +9,11 @@ Client::Client(std::uint16_t port) : socket_{connect_loopback(port)} {
   if (!socket_.valid()) {
     return;
   }
-  FrameRead hello = read_frame(socket_);
-  if (hello.status != FrameRead::Status::kOk) {
+  const FrameReader::Frame hello = reader_.next(socket_);
+  if (hello.status != FrameReader::Status::kFrame) {
     return;
   }
-  ByteReader r{std::span<const std::uint8_t>{hello.payload}};
+  ByteReader r{hello.payload};
   const auto opcode = r.u8();
   const auto version = r.u8();
   const auto ib = r.u8();
@@ -26,11 +26,34 @@ Client::Client(std::uint16_t port) : socket_{connect_loopback(port)} {
   valid_ = true;
 }
 
-std::uint64_t Client::send(std::vector<std::uint8_t> frame) {
-  if (!valid_ || !write_frame(socket_, frame)) {
+std::uint64_t Client::send(const std::vector<std::uint8_t>& frame) {
+  if (!valid_) {
+    return 0;
+  }
+  const std::lock_guard<std::mutex> lock{held_mutex_};
+  held_.insert(held_.end(), frame.begin(), frame.end());
+  // Hold only while the next read_response will not wait in recv: it
+  // sends the held frames before it does.
+  if ((!response_buffered_ || held_.size() >= kMaxHeldBytes) &&
+      !flush_held()) {
     return 0;
   }
   return next_id_++;
+}
+
+bool Client::flush_held() {
+  const bool sent =
+      held_.empty() || socket_.send_all(held_.data(), held_.size());
+  held_.clear();
+  return sent;
+}
+
+void Client::close_send() {
+  {
+    const std::lock_guard<std::mutex> lock{held_mutex_};
+    (void)flush_held();
+  }
+  socket_.shutdown_send();
 }
 
 std::uint64_t Client::send_submit(core::BatchNacu::Function function,
@@ -64,11 +87,21 @@ std::optional<Client::Response> Client::read_response() {
   if (!valid_) {
     return std::nullopt;
   }
-  FrameRead frame = read_frame(socket_);
-  if (frame.status != FrameRead::Status::kOk) {
+  if (!reader_.ready()) {
+    // About to wait in recv: the server must first see every held frame.
+    const std::lock_guard<std::mutex> lock{held_mutex_};
+    response_buffered_ = false;
+    (void)flush_held();  // a failed send surfaces as EOF below
+  }
+  const FrameReader::Frame frame = reader_.next(socket_);
+  {
+    const std::lock_guard<std::mutex> lock{held_mutex_};
+    response_buffered_ = reader_.ready();
+  }
+  if (frame.status != FrameReader::Status::kFrame) {
     return std::nullopt;
   }
-  ByteReader r{std::span<const std::uint8_t>{frame.payload}};
+  ByteReader r{frame.payload};
   const auto opcode = r.u8();
   const auto id = r.u64();
   if (!opcode || !id) {

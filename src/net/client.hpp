@@ -8,13 +8,24 @@
 // round trip for convenience; the load generator (bench_e2e) uses the
 // split API to keep many requests in flight per connection.
 //
-// Not internally synchronised: one Client per thread (the bench's model),
+// Batching: read_response() takes every response one recv returns into a
+// buffer and hands them out one per call. A frame sent while such a
+// response sits unread is held — up to kMaxHeldBytes — and goes out with
+// the frames after it at the next read_response() that has to wait in
+// recv, or at close_send(). Holding therefore never delays a response the
+// caller is about to wait for, and a closed loop pays one send per round
+// of reads instead of one per request.
+//
+// Threads: one thread may call the send_* functions while another calls
+// read_response() (bench_e2e's open-loop shape); a mutex guards the held
+// frames they share. Beyond that not synchronised: one Client per thread,
 // or external locking. close_send() half-closes the socket — the server
 // reads EOF, drains every response still owed, then closes; this is how
 // a closed-loop client participates in a graceful drain.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,8 +67,9 @@ class Client {
     std::vector<double> doubles;         ///< ResultF64 payload
     [[nodiscard]] bool ok() const noexcept { return error == ErrorCode::kNone; }
   };
-  /// Next response off the wire, blocking; nullopt once the server has
-  /// closed (or the stream broke).
+  /// Next response, from the buffer or else off the wire — blocking, after
+  /// sending the held frames; nullopt once the server has closed (or the
+  /// stream broke).
   [[nodiscard]] std::optional<Response> read_response();
 
   /// One synchronous activation round trip; throws std::runtime_error on
@@ -65,21 +77,32 @@ class Client {
   [[nodiscard]] std::vector<fp::Fixed> call(core::BatchNacu::Function function,
                                             std::span<const fp::Fixed> input);
 
-  /// Half-close: tells the server this client is done submitting, while
-  /// responses still owed keep arriving (read_response until nullopt).
-  void close_send() { socket_.shutdown_send(); }
+  /// Half-close: sends every held frame, then tells the server this
+  /// client is done submitting, while responses still owed keep arriving
+  /// (read_response until nullopt).
+  void close_send();
+  /// Hard close; held frames are dropped.
   void close() { socket_.close(); }
 
-  /// Escape hatch for protocol-robustness tests: the raw socket.
+  /// Escape hatch for protocol-robustness tests: the raw socket, which
+  /// bypasses the held frames.
   [[nodiscard]] Socket& socket() noexcept { return socket_; }
 
  private:
-  [[nodiscard]] std::uint64_t send(std::vector<std::uint8_t> frame);
+  [[nodiscard]] std::uint64_t send(const std::vector<std::uint8_t>& frame);
+  /// Send every held frame; false when the connection is gone. The caller
+  /// holds held_mutex_.
+  bool flush_held();
 
   Socket socket_;
+  FrameReader reader_;  ///< read_response's thread only
   bool valid_ = false;
   fp::Format format_{4, 11};
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_id_ = 1;  ///< the send_* thread only
+
+  std::mutex held_mutex_;
+  std::vector<std::uint8_t> held_;  ///< frames given ids, not yet written
+  bool response_buffered_ = false;  ///< reader_ holds a complete response
 };
 
 }  // namespace nacu::net

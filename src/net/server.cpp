@@ -1,6 +1,9 @@
 #include "net/server.hpp"
 
+#include <chrono>
+#include <iterator>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -111,10 +114,11 @@ void NetServer::accept_loop() {
       continue;
     }
     const core::NacuConfig& config = inference_.engine().config();
-    if (!write_frame(*conn_socket,
-                     encode_hello(config.format.integer_bits(),
-                                  config.format.fractional_bits(),
-                                  core::BatchNacu::kFunctionCount))) {
+    const std::vector<std::uint8_t> hello =
+        encode_hello(config.format.integer_bits(),
+                     config.format.fractional_bits(),
+                     core::BatchNacu::kFunctionCount);
+    if (!conn_socket->send_all(hello.data(), hello.size())) {
       continue;  // greeting failed — peer already gone
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -159,56 +163,59 @@ void NetServer::reap_connections(bool all) {
   }
 }
 
-void NetServer::push_pending(Connection& conn, Pending pending) {
-  {
-    const std::lock_guard<std::mutex> lock{conn.mutex};
-    conn.pending.push_back(std::move(pending));
-  }
-  conn.cv.notify_one();
-}
-
 void NetServer::reader_loop(Connection& conn) {
   static obs::Counter& frames_m = obs::counter("net.frames_read");
+  FrameReader reader{options_.max_frame_bytes};
+  std::vector<Pending> batch;
   for (;;) {
-    FrameRead frame = read_frame(conn.socket, options_.max_frame_bytes);
-    if (frame.status != FrameRead::Status::kOk) {
-      if (frame.status == FrameRead::Status::kBroken) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        obs::counter("net.protocol_errors").add();
+    const FrameReader::Frame frame = reader.next(conn.socket);
+    const bool open = frame.status == FrameReader::Status::kFrame;
+    if (open) {
+      frames_read_.fetch_add(1, std::memory_order_relaxed);
+      frames_m.add();
+      batch.push_back(handle_frame(frame.payload));
+      if (reader.ready()) {
+        continue;  // submit every buffered frame before waking the writer
       }
+    } else if (frame.status == FrameReader::Status::kBroken) {
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      obs::counter("net.protocol_errors").add();
+    }
+    // The next step blocks in recv or ends the connection: hand the writer
+    // the whole batch with one wake-up. After the last hand-off the writer
+    // drains what is queued and exits; responses for everything already
+    // submitted still go out — the client may have half-closed (SHUT_WR)
+    // and be reading.
+    {
+      const std::lock_guard<std::mutex> lock{conn.mutex};
+      conn.pending.insert(conn.pending.end(),
+                          std::make_move_iterator(batch.begin()),
+                          std::make_move_iterator(batch.end()));
+      conn.reader_done = !open;
+    }
+    conn.cv.notify_one();
+    batch.clear();
+    if (!open) {
       break;
     }
-    frames_read_.fetch_add(1, std::memory_order_relaxed);
-    frames_m.add();
-    handle_frame(conn, frame.payload);
   }
-  // No more pushes will come from this thread; let the writer drain what
-  // is queued and exit. Responses for everything already submitted still
-  // go out — the client may have half-closed (SHUT_WR) and be reading.
-  {
-    const std::lock_guard<std::mutex> lock{conn.mutex};
-    conn.reader_done = true;
-  }
-  conn.cv.notify_one();
   conn.live_threads.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void NetServer::handle_frame(Connection& conn,
-                             const std::vector<std::uint8_t>& payload) {
-  ByteReader r{std::span<const std::uint8_t>{payload}};
+NetServer::Pending NetServer::handle_frame(
+    std::span<const std::uint8_t> payload) {
+  ByteReader r{payload};
   const auto opcode = r.u8();   // length ≥ 1 — cannot fail
   const auto id = r.u64();
   if (!id) {
     // Too short to even carry the id that an error frame would echo.
     immediate_errors_.fetch_add(1, std::memory_order_relaxed);
-    push_pending(conn, PendingError{0, ErrorCode::kBadRequest,
-                                    "frame too short for request id"});
-    return;
+    return PendingError{0, ErrorCode::kBadRequest,
+                        "frame too short for request id"};
   }
-  const auto bad = [&](std::string message) {
+  const auto bad = [&](std::string message) -> Pending {
     immediate_errors_.fetch_add(1, std::memory_order_relaxed);
-    push_pending(conn,
-                 PendingError{*id, ErrorCode::kBadRequest, std::move(message)});
+    return PendingError{*id, ErrorCode::kBadRequest, std::move(message)};
   };
 
   std::uint8_t function = 0;
@@ -216,28 +223,23 @@ void NetServer::handle_frame(Connection& conn,
   if (op == Opcode::kSubmit) {
     const auto f = r.u8();
     if (!f) {
-      bad("truncated submit: missing function");
-      return;
+      return bad("truncated submit: missing function");
     }
     if (*f >= core::BatchNacu::kFunctionCount) {
-      bad("unknown function index");
-      return;
+      return bad("unknown function index");
     }
     function = *f;
   }
   const auto wire_options = decode_submit_options(r);
   if (!wire_options) {
-    bad("truncated submit options");
-    return;
+    return bad("truncated submit options");
   }
   if (wire_options->priority >= serve::kPriorityCount) {
-    bad("unknown priority class");
-    return;
+    return bad("unknown priority class");
   }
   const auto count = r.u32();
   if (!count || r.remaining() != std::size_t{*count} * 8) {
-    bad("element count does not match frame length");
-    return;
+    return bad("element count does not match frame length");
   }
 
   serve::SubmitOptions submit_options;
@@ -270,15 +272,13 @@ void NetServer::handle_frame(Connection& conn,
                       std::move(input), submit_options)
                 : inference_.submit_softmax(std::move(input), submit_options);
         requests_submitted_.fetch_add(1, std::memory_order_relaxed);
-        push_pending(conn, PendingFixed{*id, std::move(future)});
-        return;
+        return PendingFixed{*id, std::move(future)};
       }
       case Opcode::kSubmitMlp: {
         if (options_.mlp == nullptr) {
           immediate_errors_.fetch_add(1, std::memory_order_relaxed);
-          push_pending(conn, PendingError{*id, ErrorCode::kUnsupported,
-                                          "no MLP model hosted"});
-          return;
+          return PendingError{*id, ErrorCode::kUnsupported,
+                              "no MLP model hosted"};
         }
         std::vector<double> input;
         input.reserve(*count);
@@ -289,12 +289,10 @@ void NetServer::handle_frame(Connection& conn,
             inference_.submit_mlp(*options_.mlp, std::move(input),
                                   submit_options);
         requests_submitted_.fetch_add(1, std::memory_order_relaxed);
-        push_pending(conn, PendingF64{*id, std::move(future)});
-        return;
+        return PendingF64{*id, std::move(future)};
       }
       default:
-        bad("unknown opcode");
-        return;
+        return bad("unknown opcode");
     }
   } catch (...) {
     // Admission rejections (and bad raws) — typed error frame instead of
@@ -303,81 +301,103 @@ void NetServer::handle_frame(Connection& conn,
     const ErrorCode code = classify_exception(std::current_exception(),
                                               message);
     immediate_errors_.fetch_add(1, std::memory_order_relaxed);
-    push_pending(conn, PendingError{*id, code, std::move(message)});
+    return PendingError{*id, code, std::move(message)};
+  }
+}
+
+bool NetServer::ready(const Pending& pending) {
+  return std::visit(
+      [](const auto& p) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(p)>,
+                                     PendingError>) {
+          return true;
+        } else {
+          return p.future.wait_for(std::chrono::seconds{0}) ==
+                 std::future_status::ready;
+        }
+      },
+      pending);
+}
+
+std::vector<std::uint8_t> NetServer::encode_response(
+    Pending& pending, std::vector<std::int64_t>& raws) {
+  if (const auto* error = std::get_if<PendingError>(&pending)) {
+    return encode_error(error->id, error->code, error->message);
+  }
+  const std::uint64_t id = std::visit([](const auto& p) { return p.id; },
+                                      pending);
+  try {
+    if (auto* fixed = std::get_if<PendingFixed>(&pending)) {
+      const std::vector<fp::Fixed> result = fixed->future.get();
+      raws.clear();
+      raws.reserve(result.size());
+      for (const fp::Fixed& v : result) {
+        raws.push_back(v.raw());
+      }
+      return encode_result_fixed(id, raws);
+    }
+    return encode_result_f64(id, std::get<PendingF64>(pending).future.get());
+  } catch (...) {
+    std::string message;
+    const ErrorCode code =
+        classify_exception(std::current_exception(), message);
+    return encode_error(id, code, message);
   }
 }
 
 void NetServer::writer_loop(Connection& conn) {
   static obs::Counter& responses_m = obs::counter("net.responses_written");
+  std::vector<Pending> batch;
+  std::vector<std::uint8_t> out;   // encoded frames not yet sent
+  std::uint64_t held_frames = 0;   // frames in out
+  std::uint64_t held_answers = 0;  // of those, the ones answering a future
   std::vector<std::int64_t> raws;
-  for (;;) {
-    Pending pending = [&]() -> Pending {
-      std::unique_lock<std::mutex> lock{conn.mutex};
-      conn.cv.wait(lock,
-                   [&] { return !conn.pending.empty() || conn.reader_done; });
-      if (conn.pending.empty()) {
-        return PendingError{0, ErrorCode::kNone, {}};  // sentinel: done
-      }
-      Pending p = std::move(conn.pending.front());
-      conn.pending.pop_front();
-      return p;
-    }();
-    if (auto* sentinel = std::get_if<PendingError>(&pending);
-        sentinel != nullptr && sentinel->code == ErrorCode::kNone) {
-      break;
+  // One send for everything held. write_failed is writer-private state; no
+  // lock — and no lock held across the (potentially blocking) send.
+  const auto flush = [&] {
+    if (held_frames == 0) {
+      return;
     }
-    std::vector<std::uint8_t> frame;
-    bool answers_future = false;
-    if (auto* fixed = std::get_if<PendingFixed>(&pending)) {
-      answers_future = true;
-      try {
-        const std::vector<fp::Fixed> result = fixed->future.get();
-        raws.clear();
-        raws.reserve(result.size());
-        for (const fp::Fixed& v : result) {
-          raws.push_back(v.raw());
-        }
-        frame = encode_result_fixed(fixed->id, raws);
-      } catch (...) {
-        std::string message;
-        const ErrorCode code =
-            classify_exception(std::current_exception(), message);
-        frame = encode_error(fixed->id, code, message);
-      }
-    } else if (auto* dbl = std::get_if<PendingF64>(&pending)) {
-      answers_future = true;
-      try {
-        frame = encode_result_f64(dbl->id, dbl->future.get());
-      } catch (...) {
-        std::string message;
-        const ErrorCode code =
-            classify_exception(std::current_exception(), message);
-        frame = encode_error(dbl->id, code, message);
-      }
+    if (!conn.write_failed && conn.socket.send_all(out.data(), out.size())) {
+      responses_written_.fetch_add(held_answers, std::memory_order_relaxed);
+      responses_m.add(held_frames);
     } else {
-      auto& error = std::get<PendingError>(pending);
-      frame = encode_error(error.id, error.code, error.message);
-    }
-    // write_failed is writer-private state; no lock — and no lock held
-    // across the (potentially blocking) send.
-    bool wrote = false;
-    if (!conn.write_failed) {
-      wrote = write_frame(conn.socket, frame);
-      if (!wrote) {
+      if (!conn.write_failed) {
         conn.write_failed = true;
         // Wake the reader: a peer that cannot receive responses will
         // not be served further.
         conn.socket.shutdown_receive();
       }
+      write_failures_.fetch_add(held_frames, std::memory_order_relaxed);
     }
-    if (wrote) {
-      if (answers_future) {
-        responses_written_.fetch_add(1, std::memory_order_relaxed);
+    out.clear();
+    held_frames = 0;
+    held_answers = 0;
+  };
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock{conn.mutex};
+      conn.cv.wait(lock,
+                   [&] { return !conn.pending.empty() || conn.reader_done; });
+      if (conn.pending.empty()) {
+        break;
       }
-      responses_m.add();
-    } else {
-      write_failures_.fetch_add(1, std::memory_order_relaxed);
+      batch.swap(conn.pending);
     }
+    for (Pending& pending : batch) {
+      if (!ready(pending)) {
+        flush();  // a finished response never waits behind this one
+      }
+      const std::vector<std::uint8_t> frame = encode_response(pending, raws);
+      out.insert(out.end(), frame.begin(), frame.end());
+      ++held_frames;
+      held_answers += std::holds_alternative<PendingError>(pending) ? 0 : 1;
+      if (out.size() >= kMaxHeldBytes) {
+        flush();
+      }
+    }
+    batch.clear();
+    flush();
   }
   conn.live_threads.fetch_sub(1, std::memory_order_acq_rel);
 }

@@ -4,20 +4,27 @@
 // into an actual server. One accept-loop thread hands each connection a
 // reader thread and a writer thread:
 //
-//   reader: read frame → decode (wire.hpp) → InferenceServer::submit /
-//           submit_softmax / submit_mlp → push the future onto the
-//           connection's pending queue. Admission rejections (Overloaded,
-//           Quota, Deadline, Shutdown — thrown from submit) become typed
-//           error frames without ever entering the pending queue's future
-//           path; malformed-but-framed payloads become kBadRequest frames
-//           and the connection keeps serving.
-//   writer: pop pending responses in submission order, future.get() each,
-//           write a ResultFixed/ResultF64 frame — or map the exception
-//           (DeadlineExpiredError, ShardFailedError, per-request input
-//           errors) onto an Error frame. Responses therefore stream back
-//           per connection in exactly the order requests were submitted,
-//           while the inference layer batches, steals, retries, and hedges
-//           them across shards in any order it likes.
+//   reader: one recv into the connection's FrameReader, then for every
+//           complete frame it holds: decode (wire.hpp) →
+//           InferenceServer::submit / submit_softmax / submit_mlp → one
+//           pending entry. Admission rejections (Overloaded, Quota,
+//           Deadline, Shutdown — thrown from submit) become typed error
+//           entries without a future; malformed-but-framed payloads
+//           become kBadRequest entries and the connection keeps serving.
+//           Only when the buffer holds no complete frame, so the next
+//           step would block in recv, does it append the batch to the
+//           connection's pending FIFO and wake the writer, once.
+//   writer: take the whole pending FIFO under one lock, resolve it in
+//           submission order into ResultFixed/ResultF64 frames — or map
+//           the exception (DeadlineExpiredError, ShardFailedError,
+//           per-request input errors) onto an Error frame — and append
+//           each to one output buffer, sent in one call. Before it blocks
+//           on a future that is not ready it sends what it holds, so a
+//           finished response never waits behind an unfinished one.
+//           Responses therefore stream back per connection in exactly the
+//           order requests were submitted, while the inference layer
+//           batches, steals, retries, and hedges them across shards in
+//           any order it likes.
 //
 // Graceful drain rides the InferenceServer::shutdown() contract:
 // NetServer::shutdown() stops accepting, shuts down the inference layer
@@ -32,14 +39,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <condition_variable>
 #include <variant>
+#include <vector>
 
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -101,6 +109,8 @@ class NetServer {
                                         ///< EOF mid-frame)
     std::uint64_t write_failures = 0;  ///< frames lost to a vanished client
   };
+  /// Counters are relaxed and, for the writer's two, bumped after the
+  /// send: read them once the traffic they describe has finished.
   [[nodiscard]] Stats stats() const;
 
  private:
@@ -128,20 +138,24 @@ class NetServer {
     std::thread writer;
     std::mutex mutex;
     std::condition_variable cv;
-    std::deque<Pending> pending;  ///< FIFO — submission order
-    bool reader_done = false;     ///< no more pending will be pushed
-    bool write_failed = false;    ///< client gone; drop instead of send
+    std::vector<Pending> pending;  ///< FIFO — submission order
+    bool reader_done = false;      ///< no more pending will be pushed
+    bool write_failed = false;     ///< client gone; drop instead of send
     std::atomic<int> live_threads{2};  ///< reapable at 0
   };
 
   void accept_loop();
   void reader_loop(Connection& conn);
   void writer_loop(Connection& conn);
-  /// Decode one framed payload and act on it. False only when the
-  /// connection must close (unparseable beyond recovery is *not* such a
-  /// case — framing intact means the stream is still synchronised).
-  void handle_frame(Connection& conn, const std::vector<std::uint8_t>& payload);
-  void push_pending(Connection& conn, Pending pending);
+  /// Decode one framed payload, submit it, and return the response it is
+  /// owed. Framing intact means the stream is still synchronised, so an
+  /// unparseable payload is answered (kBadRequest), never fatal.
+  [[nodiscard]] Pending handle_frame(std::span<const std::uint8_t> payload);
+  /// Whether @p pending's response can be encoded without blocking.
+  [[nodiscard]] static bool ready(const Pending& pending);
+  /// The frame answering @p pending, waiting on its future if it has one.
+  [[nodiscard]] static std::vector<std::uint8_t> encode_response(
+      Pending& pending, std::vector<std::int64_t>& raws);
   /// Join and erase connections whose threads have both exited.
   void reap_connections(bool all);
 

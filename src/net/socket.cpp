@@ -40,26 +40,6 @@ bool Socket::send_all(const void* data, std::size_t n) const {
   return true;
 }
 
-Socket::Read Socket::read_exact(void* data, std::size_t n) const {
-  auto* p = static_cast<std::uint8_t*>(data);
-  const std::size_t want = n;
-  while (n > 0) {
-    const ssize_t got = ::recv(fd_, p, n, 0);
-    if (got < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return n == want ? Read::kEof : Read::kTorn;
-    }
-    if (got == 0) {
-      return n == want ? Read::kEof : Read::kTorn;
-    }
-    p += got;
-    n -= static_cast<std::size_t>(got);
-  }
-  return Read::kOk;
-}
-
 void Socket::shutdown_send() const noexcept {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_WR);
@@ -79,41 +59,59 @@ void Socket::close() noexcept {
   }
 }
 
-FrameRead read_frame(const Socket& socket, std::size_t max_frame_bytes) {
-  FrameRead result;
-  std::uint8_t prefix[kLengthPrefixBytes];
-  switch (socket.read_exact(prefix, sizeof prefix)) {
-    case Socket::Read::kOk:
-      break;
-    case Socket::Read::kEof:
-      result.status = FrameRead::Status::kEof;
-      return result;
-    case Socket::Read::kTorn:
-      result.status = FrameRead::Status::kBroken;
-      return result;
+FrameReader::FrameReader(std::size_t max_frame_bytes)
+    : max_frame_bytes_{max_frame_bytes}, buffer_(kInitialBytes) {}
+
+std::size_t FrameReader::head_bytes() const noexcept {
+  if (end_ - begin_ < kLengthPrefixBytes) {
+    return 0;
   }
   std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+  for (std::size_t i = 0; i < kLengthPrefixBytes; ++i) {
+    length |= static_cast<std::uint32_t>(buffer_[begin_ + i]) << (8 * i);
   }
-  if (length == 0 || length > max_frame_bytes) {
-    result.status = FrameRead::Status::kBroken;
-    return result;
+  if (length == 0 || length > max_frame_bytes_) {
+    return kBrokenPrefix;
   }
-  result.payload.resize(length);
-  if (socket.read_exact(result.payload.data(), result.payload.size()) !=
-      Socket::Read::kOk) {
-    result.status = FrameRead::Status::kBroken;
-    result.payload.clear();
-    return result;
-  }
-  result.status = FrameRead::Status::kOk;
-  return result;
+  return kLengthPrefixBytes + length;
 }
 
-bool write_frame(const Socket& socket,
-                 const std::vector<std::uint8_t>& frame) {
-  return socket.send_all(frame.data(), frame.size());
+bool FrameReader::ready() const noexcept {
+  const std::size_t need = head_bytes();
+  return need == kBrokenPrefix || (need != 0 && need <= end_ - begin_);
+}
+
+FrameReader::Frame FrameReader::next(const Socket& socket) {
+  for (;;) {
+    const std::size_t need = head_bytes();
+    if (need == kBrokenPrefix) {
+      return {Status::kBroken, {}};
+    }
+    if (need != 0 && need <= end_ - begin_) {
+      const std::span<const std::uint8_t> payload{
+          buffer_.data() + begin_ + kLengthPrefixBytes,
+          need - kLengthPrefixBytes};
+      begin_ += need;
+      return {Status::kFrame, payload};
+    }
+    // At most one partial frame is left: move it to the front and make
+    // room for all of it, so the recv below can complete it.
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (need > buffer_.size()) {
+      buffer_.resize(need);
+    }
+    const ssize_t got = ::recv(socket.fd(), buffer_.data() + end_,
+                               buffer_.size() - end_, 0);
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      return {end_ == 0 ? Status::kEof : Status::kBroken, {}};
+    }
+    end_ += static_cast<std::size_t>(got);
+  }
 }
 
 Listener::Listener(std::uint16_t port) {

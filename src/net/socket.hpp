@@ -1,22 +1,31 @@
 // Thin RAII wrappers over POSIX TCP sockets — everything the net layer
-// needs and nothing more: a movable owning fd, short-read/short-write
-// loops that survive EINTR, a loopback listener with a poll()-based
-// accept so shutdown is a flag check away, and frame-level read/write
-// built on the wire.hpp length prefix.
+// needs and nothing more: a movable owning fd, a short-write loop that
+// survives EINTR, a loopback listener with a poll()-based accept so
+// shutdown is a flag check away, and a buffered frame reader built on the
+// wire.hpp length prefix.
 //
 // All operations are blocking; concurrency comes from the thread-per-
-// connection model in net/server.cpp, not from non-blocking I/O. SIGPIPE
-// is suppressed per send (MSG_NOSIGNAL) so a client that vanished mid
-// response surfaces as an error return, never a process signal.
+// connection model in net/server.cpp, not from non-blocking I/O. The
+// syscall count stays low by batching instead: FrameReader parses every
+// frame one recv returns, and both ends collect outgoing frames into one
+// buffer for a single send_all (net/server.hpp and net/client.hpp say when
+// each end holds frames). SIGPIPE is suppressed per send (MSG_NOSIGNAL) so
+// a client that vanished mid response surfaces as an error return, never a
+// process signal.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/wire.hpp"
 
 namespace nacu::net {
+
+/// Most bytes of outgoing frames either end collects before it sends
+/// them, whatever its other reasons to keep holding.
+inline constexpr std::size_t kMaxHeldBytes = std::size_t{64} << 10;
 
 /// Owning socket fd. Move-only; close on destruction.
 class Socket {
@@ -36,19 +45,11 @@ class Socket {
   /// (peer gone, fd closed under us). Retries EINTR.
   [[nodiscard]] bool send_all(const void* data, std::size_t n) const;
 
-  enum class Read {
-    kOk,    ///< all n bytes arrived
-    kEof,   ///< clean EOF before the first byte
-    kTorn,  ///< EOF or error after some bytes — the stream tore mid-unit
-  };
-  /// Read exactly @p n bytes. Retries EINTR.
-  [[nodiscard]] Read read_exact(void* data, std::size_t n) const;
-
   /// Half-close: no more bytes will be sent (SHUT_WR) — the peer's next
   /// read sees EOF while our own reads keep draining. Used by clients to
   /// signal "done submitting" during drain tests.
   void shutdown_send() const noexcept;
-  /// Wake a reader blocked in read_exact from another thread (SHUT_RD).
+  /// Wake a reader blocked in recv from another thread (SHUT_RD).
   void shutdown_receive() const noexcept;
 
   void close() noexcept;
@@ -57,26 +58,56 @@ class Socket {
   int fd_ = -1;
 };
 
-/// One length-prefixed frame, read blocking. Anything but kOk ends the
-/// connection; the kEof/kBroken split only feeds diagnostics (a clean
-/// close is normal, a broken one counts as a protocol error).
-struct FrameRead {
+/// Reads length-prefixed frames from one socket through a buffer. One recv
+/// takes as many bytes as the kernel holds, and every complete frame among
+/// them is then handed out in place: a burst of pipelined frames costs one
+/// syscall instead of two per frame, and no frame gets its own payload
+/// vector. The buffer starts at kInitialBytes and grows only to hold the
+/// largest frame seen, length prefix included. Not synchronised: one
+/// thread reads a connection.
+class FrameReader {
+ public:
+  static constexpr std::size_t kInitialBytes = std::size_t{4} << 10;
+
+  /// Anything but kFrame ends the connection; the kEof/kBroken split only
+  /// feeds diagnostics (a clean close is normal, a broken one counts as a
+  /// protocol error).
   enum class Status {
-    kOk,      ///< payload holds one complete frame
+    kFrame,   ///< payload views one complete frame
     kEof,     ///< peer closed cleanly between frames
     kBroken,  ///< zero/oversized length prefix, or the stream tore
               ///< mid-frame — the byte stream cannot be resynchronised
   };
-  Status status = Status::kEof;
-  std::vector<std::uint8_t> payload;
-};
-[[nodiscard]] FrameRead read_frame(const Socket& socket,
-                                   std::size_t max_frame_bytes =
-                                       kMaxFrameBytes);
+  struct Frame {
+    Status status = Status::kEof;
+    /// The payload inside the reader's buffer; valid until the next call
+    /// to next().
+    std::span<const std::uint8_t> payload;
+  };
 
-/// Write one already-framed buffer (from wire.hpp's encode_* helpers).
-[[nodiscard]] bool write_frame(const Socket& socket,
-                               const std::vector<std::uint8_t>& frame);
+  explicit FrameReader(std::size_t max_frame_bytes = kMaxFrameBytes);
+
+  /// The next frame: straight from the buffer when a complete one is
+  /// there, otherwise after as many blocking recv calls as it takes.
+  /// Retries EINTR.
+  [[nodiscard]] Frame next(const Socket& socket);
+
+  /// True when next() will return without calling recv: a complete frame,
+  /// or a length prefix that breaks the stream, is already buffered.
+  [[nodiscard]] bool ready() const noexcept;
+
+ private:
+  static constexpr std::size_t kBrokenPrefix = ~std::size_t{0};
+  /// Bytes the frame at the head of the buffer spans, prefix included: 0
+  /// while the prefix itself is incomplete, kBrokenPrefix when it is zero
+  /// or over max_frame_bytes.
+  [[nodiscard]] std::size_t head_bytes() const noexcept;
+
+  std::size_t max_frame_bytes_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t begin_ = 0;  ///< first byte not yet handed out
+  std::size_t end_ = 0;    ///< one past the last byte received
+};
 
 /// Loopback listener (127.0.0.1). Binds at construction — port 0 picks
 /// an ephemeral port, readable via port() immediately after.

@@ -141,6 +141,8 @@ struct SubmitOptions {
 template <typename T>
 class SharedResult {
  public:
+  using value_type = T;
+
   [[nodiscard]] std::future<T> get_future() { return promise_.get_future(); }
   /// Whether some copy already completed (lets the supervisor skip firing
   /// a hedge whose original has finished).

@@ -165,11 +165,14 @@ void InferenceServer::sweep_leftovers() {
       if (r.hedge_copy) {
         continue;  // not client work
       }
-      if (!request_done(r)) {
-        fail_request(r, std::make_exception_ptr(ShardFailedError{}));
+      const bool owed = !request_done(r);
+      if (owed) {
         retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
       }
       finish(r);
+      if (owed) {
+        fail_request(r, std::make_exception_ptr(ShardFailedError{}));
+      }
     }
   }
   const std::lock_guard<std::mutex> lock{hedges_mutex_};
@@ -585,12 +588,12 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
     const auto now = admission_.now();
     for (std::size_t i = 0; i < group.size(); ++i) {
       if (group[i].deadline.has_value() && *group[i].deadline <= now) {
-        fail_request(group[i],
-                     std::make_exception_ptr(DeadlineExpiredError{}));
         handled[i] = true;
         shed_deadline_.fetch_add(1, std::memory_order_relaxed);
         shed_deadline_m.add();
         finish(group[i]);
+        fail_request(group[i],
+                     std::make_exception_ptr(DeadlineExpiredError{}));
       }
     }
   }
@@ -658,13 +661,13 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
         std::copy(out.begin() + static_cast<std::ptrdiff_t>(offset),
                   out.begin() + static_cast<std::ptrdiff_t>(offset + n),
                   act.input.begin());
+        offset += n;
+        handled[i] = true;
+        finish(group[i]);
         const bool won = act.result->set_value(std::move(act.input));
         if (won && group[i].hedge_copy) {
           hedge_wins_.fetch_add(1, std::memory_order_relaxed);
         }
-        offset += n;
-        handled[i] = true;
-        finish(group[i]);
       }
     } catch (...) {
       // A bad request poisons the whole coalesced call (e.g. an input
@@ -674,7 +677,6 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
         if (!handled[i]) {
           execute_one(shard, group[i]);
           handled[i] = true;
-          finish(group[i]);
         }
       }
     }
@@ -685,7 +687,6 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (!handled[i]) {
       execute_one(shard, group[i]);
-      finish(group[i]);
     }
   }
   // A dispatch group with no detections is the circuit's success signal —
@@ -702,9 +703,10 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
   static obs::Counter& degraded_m =
       obs::counter("serve.resilience.degraded_requests");
   bool won = false;
-  // Counted *before* the promise resolves so a client that observed its
-  // future ready also observes the counter (promise synchronisation
-  // publishes the sequenced-before increment).
+  // Every counter — this one and finish()'s — moves *before* the promise
+  // resolves, so a client that observed its future ready also observes
+  // the counters (promise synchronisation publishes the sequenced-before
+  // increments). Hence compute first, then account, then publish.
   const auto note_degraded = [this] {
     degraded_requests_.fetch_add(1, std::memory_order_relaxed);
     degraded_m.add();
@@ -712,6 +714,9 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
   std::visit(
       [&](auto& r) {
         using T = std::decay_t<decltype(r)>;
+        using Value = typename std::decay_t<decltype(*r.result)>::value_type;
+        std::optional<Value> value;
+        std::exception_ptr error;
         try {
           if constexpr (std::is_same_v<T, ActivationRequest>) {
             const auto fi = static_cast<std::size_t>(r.function);
@@ -721,7 +726,7 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
                   r.input.size(), fp::Fixed::zero(shard.engine->format()));
               evaluate_degraded(shard.engine->unit(), r.function, r.input,
                                 out);
-              won = r.result->set_value(std::move(out));
+              value = std::move(out);
             } else {
               std::vector<fp::Fixed> out =
                   shard.engine->evaluate(r.function, r.input);
@@ -733,7 +738,7 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
                 evaluate_degraded(shard.engine->unit(), r.function, r.input,
                                   out);
               }
-              won = r.result->set_value(std::move(out));
+              value = std::move(out);
             }
           } else if constexpr (std::is_same_v<T, SoftmaxRequest>) {
             const auto exp_fi = static_cast<std::size_t>(Function::Exp);
@@ -741,7 +746,7 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
               // Softmax reads the exp table; quarantined → the scalar
               // unit's softmax (bit-identical by construction).
               note_degraded();
-              won = r.result->set_value(shard.engine->unit().softmax(r.logits));
+              value = shard.engine->unit().softmax(r.logits);
             } else {
               std::vector<fp::Fixed> out = shard.engine->softmax(r.logits);
               if (shard.verify &&
@@ -750,18 +755,24 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
                 note_degraded();
                 out = shard.engine->unit().softmax(r.logits);
               }
-              won = r.result->set_value(std::move(out));
+              value = std::move(out);
             }
           } else if constexpr (std::is_same_v<T, MlpRequest>) {
             // Model passes run on the model's own engine — outside the
             // shard's fault/verify domain (see src/fault/README.md).
-            won = r.result->set_value(r.model->predict_proba(r.input));
+            value = r.model->predict_proba(r.input);
           } else {
             static_assert(std::is_same_v<T, LstmRequest>);
-            won = r.result->set_value(r.model->step(r.state, r.x));
+            value = r.model->step(r.state, r.x);
           }
         } catch (...) {
-          (void)r.result->set_exception(std::current_exception());
+          error = std::current_exception();
+        }
+        finish(request);
+        if (value) {
+          won = r.result->set_value(std::move(*value));
+        } else {
+          (void)r.result->set_exception(std::move(error));
         }
       },
       request.payload);
@@ -1071,10 +1082,10 @@ void InferenceServer::requeue_or_fail(Request&& request) {
       }
     }
   }
-  fail_request(request, std::make_exception_ptr(ShardFailedError{}));
   retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
   exhausted_m.add();
   finish(request);
+  fail_request(request, std::make_exception_ptr(ShardFailedError{}));
 }
 
 }  // namespace nacu::serve

@@ -311,13 +311,16 @@ class InferenceServer {
   /// once (first completed copy wins).
   void execute_group(Shard& shard, std::vector<Request> group);
   /// Non-coalesced execution of one request (also the error-isolation
-  /// fallback when a coalesced evaluation throws).
+  /// fallback when a coalesced evaluation throws), including its finish().
   void execute_one(Shard& shard, Request& request);
   /// A verify-before-release check failed on @p shard: quarantine the
   /// function, request a scrub, record the failure against the circuit.
   void on_detection(Shard& shard, std::size_t function_index);
-  /// Record completion metrics and the enqueue→complete latency. Hedge
-  /// copies are not client work — they are skipped entirely.
+  /// Record completion metrics and the enqueue→complete latency. Called
+  /// before the request's result is published, so a client whose future
+  /// is ready sees the counters too — except when a hedge copy won first,
+  /// which publishes before the original is accounted. Hedge copies are
+  /// not client work — they are skipped entirely.
   void finish(const Request& request);
 
   // -- supervisor (watchdog thread or poke_supervisor) ---------------------

@@ -6,7 +6,10 @@
 //    to direct core::BatchNacu / model evaluation (the serving layer's
 //    central claim extended one more layer out), for activations,
 //    softmax rows, and hosted-MLP forward passes, including pipelined
-//    and multi-connection traffic;
+//    and multi-connection traffic, many frames in one write, frames
+//    larger than the reader's starting buffer, a Client that holds sends
+//    while responses sit unread, and one Client shared by a sender and a
+//    reader thread;
 //  * robustness — a hostile or broken byte stream (torn 1-byte writes,
 //    zero-length and oversized frames, garbage opcodes, truncated
 //    payloads, out-of-format raws, a client vanishing mid-request) never
@@ -21,10 +24,14 @@
 //    which is the closed-loop gate bench_e2e enforces end-to-end.
 // This binary runs under the CI e2e-smoke job (ASan/UBSan and TSan).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <thread>
@@ -69,6 +76,32 @@ void expect_bit_equal(const std::vector<fp::Fixed>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].raw(), want[i].raw()) << context << " element " << i;
   }
+}
+
+bool bit_equal(const std::vector<fp::Fixed>& got,
+               const std::vector<fp::Fixed>& want) {
+  return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                    [](const fp::Fixed& a, const fp::Fixed& b) {
+                      return a.raw() == b.raw();
+                    });
+}
+
+std::vector<std::int64_t> raws_of(const std::vector<fp::Fixed>& values) {
+  std::vector<std::int64_t> raws;
+  for (const fp::Fixed& v : values) {
+    raws.push_back(v.raw());
+  }
+  return raws;
+}
+
+/// Bound every blocking read on @p client, so a pipeline that stalls fails
+/// the test instead of hanging it.
+void set_receive_timeout(Client& client, std::chrono::seconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<decltype(tv.tv_sec)>(timeout.count());
+  ASSERT_EQ(::setsockopt(client.socket().fd(), SOL_SOCKET, SO_RCVTIMEO, &tv,
+                         sizeof tv),
+            0);
 }
 
 // -- wire encode/decode unit coverage ---------------------------------------
@@ -163,8 +196,10 @@ TEST(Net, ActivationsOverTcpAreBitIdenticalToDirectEvaluation) {
 
   nn::Rng rng{99};
   for (const Function f : {Function::Sigmoid, Function::Tanh, Function::Exp}) {
+    // 64 Ki elements is a frame far larger than the reader's starting
+    // buffer.
     for (const std::size_t n : {std::size_t{1}, std::size_t{7},
-                                std::size_t{64}}) {
+                                std::size_t{64}, std::size_t{1} << 16}) {
       const std::vector<fp::Fixed> input =
           random_batch(rng, fx.config.format, n);
       expect_bit_equal(client.call(f, input), direct.evaluate(f, input),
@@ -182,15 +217,29 @@ TEST(Net, PipelinedRequestsStreamBackInSubmissionOrder) {
 
   nn::Rng rng{7};
   constexpr std::size_t kInFlight = 50;
+  constexpr std::size_t kOneWrite = 64;
   std::vector<std::vector<fp::Fixed>> inputs;
   std::vector<std::uint64_t> ids;
+  // One send_submit call per request…
   for (std::size_t i = 0; i < kInFlight; ++i) {
     inputs.push_back(random_batch(rng, fx.config.format, 1 + i % 9));
     const std::uint64_t id = client.send_submit(Function::Sigmoid, inputs[i]);
     ASSERT_NE(id, 0u);
     ids.push_back(id);
   }
-  for (std::size_t i = 0; i < kInFlight; ++i) {
+  // …then 64 frames concatenated into one write, which the server's reader
+  // parses out of one buffer.
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < kOneWrite; ++i) {
+    inputs.push_back(random_batch(rng, fx.config.format, 1 + i % 9));
+    ids.push_back(1000 + i);
+    const std::vector<std::uint8_t> frame =
+        encode_submit(ids.back(), static_cast<std::uint8_t>(Function::Sigmoid),
+                      raws_of(inputs.back()), {});
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client.socket().send_all(burst.data(), burst.size()));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
     const auto response = client.read_response();
     ASSERT_TRUE(response.has_value()) << "response " << i;
     EXPECT_EQ(response->id, ids[i]) << "submission order broken at " << i;
@@ -199,6 +248,7 @@ TEST(Net, PipelinedRequestsStreamBackInSubmissionOrder) {
                      direct.evaluate(Function::Sigmoid, inputs[i]),
                      "pipelined " + std::to_string(i));
   }
+  EXPECT_EQ(fx.server.stats().frames_read, kInFlight + kOneWrite);
 }
 
 TEST(Net, SoftmaxOverTcpMatchesDirectRows) {
@@ -301,12 +351,8 @@ TEST(Net, TornOneByteWritesStillParseIntoOneRequest) {
 
   nn::Rng rng{5};
   const std::vector<fp::Fixed> input = random_batch(rng, fx.config.format, 9);
-  std::vector<std::int64_t> raws;
-  for (const fp::Fixed& v : input) {
-    raws.push_back(v.raw());
-  }
-  const std::vector<std::uint8_t> frame =
-      encode_submit(1, static_cast<std::uint8_t>(Function::Tanh), raws, {});
+  const std::vector<std::uint8_t> frame = encode_submit(
+      1, static_cast<std::uint8_t>(Function::Tanh), raws_of(input), {});
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(client.socket().send_all(&byte, 1));
     std::this_thread::sleep_for(std::chrono::microseconds{200});
@@ -321,18 +367,41 @@ TEST(Net, TornOneByteWritesStillParseIntoOneRequest) {
 
 TEST(Net, ZeroLengthFrameClosesTheConnectionButNotTheServer) {
   NetFixture fx;
+  const BatchNacu direct{fx.config};
   Client victim{fx.server.port()};
   ASSERT_TRUE(victim.valid());
-  const std::uint8_t zero_prefix[4] = {0, 0, 0, 0};
-  ASSERT_TRUE(victim.socket().send_all(zero_prefix, sizeof zero_prefix));
-  // The server kills this connection (unrecoverable framing)…
+  // Three good frames and a zero length prefix in one write, so the reader
+  // meets the broken prefix in the same buffer as the frames before it.
+  nn::Rng rng{11};
+  std::vector<std::vector<fp::Fixed>> inputs;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    inputs.push_back(random_batch(rng, fx.config.format, 5));
+    const std::vector<std::uint8_t> frame = encode_submit(
+        id, static_cast<std::uint8_t>(Function::Tanh), raws_of(inputs.back()),
+        {});
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  bytes.insert(bytes.end(), kLengthPrefixBytes, 0);
+  ASSERT_TRUE(victim.socket().send_all(bytes.data(), bytes.size()));
+  // The frames before the broken prefix are answered…
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto response = victim.read_response();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    EXPECT_EQ(response->id, i + 1);
+    expect_bit_equal(response->values,
+                     direct.evaluate(Function::Tanh, inputs[i]),
+                     "before the zero prefix " + std::to_string(i));
+  }
+  // …then the server kills this connection (unrecoverable framing)…
   EXPECT_FALSE(victim.read_response().has_value());
+  EXPECT_EQ(fx.server.stats().protocol_errors, 1u);
   // …and keeps serving fresh ones.
   Client fresh{fx.server.port()};
   ASSERT_TRUE(fresh.valid());
   const std::vector<fp::Fixed> input{fp::Fixed::zero(fresh.format())};
   EXPECT_NO_THROW((void)fresh.call(Function::Sigmoid, input));
-  EXPECT_GE(fx.server.stats().protocol_errors, 1u);
+  EXPECT_EQ(fx.server.stats().protocol_errors, 1u);
 }
 
 TEST(Net, OversizedLengthPrefixClosesTheConnectionButNotTheServer) {
@@ -573,6 +642,110 @@ TEST(Net, HalfCloseDrainsEveryOwedResponseBeforeEof) {
     ++received;
   }
   EXPECT_EQ(received, kBurst);
+}
+
+// -- client batching ---------------------------------------------------------
+
+TEST(Net, ClosedLoopDrainingBufferedResponsesNeverStalls) {
+  NetFixture fx;
+  const BatchNacu direct{fx.config};
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  set_receive_timeout(client, std::chrono::seconds{10});
+  const auto wait_written = [&](std::uint64_t n) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds{10};
+    while (fx.server.stats().responses_written < n &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    }
+  };
+
+  nn::Rng rng{41};
+  constexpr std::size_t kWindow = 16;
+  std::deque<std::vector<fp::Fixed>> in_flight;
+  std::uint64_t on_wire = 0;
+  const auto send = [&] {
+    in_flight.push_back(random_batch(rng, fx.config.format, 4));
+    return client.send_submit(Function::Exp, in_flight.back()) != 0;
+  };
+  // True when the next response arrived (a stall times out) and matches
+  // the oldest request in flight.
+  const auto read_one = [&] {
+    const auto response = client.read_response();
+    const bool good =
+        response && response->ok() &&
+        bit_equal(response->values,
+                  direct.evaluate(Function::Exp, in_flight.front()));
+    in_flight.pop_front();
+    return good;
+  };
+  for (int round = 0; round < 4; ++round) {
+    const std::string tag = "round " + std::to_string(round);
+    // A full window goes out at once: nothing is buffered yet.
+    for (std::size_t i = 0; i < kWindow; ++i) {
+      ASSERT_TRUE(send());
+    }
+    on_wire += kWindow;
+    wait_written(on_wire);
+    ASSERT_EQ(fx.server.stats().responses_written, on_wire) << tag;
+    // One recv takes all of them; the rest sit in the client's buffer.
+    ASSERT_TRUE(read_one()) << tag;
+    // So these are held back rather than sent…
+    for (std::size_t i = 0; i < kWindow / 2; ++i) {
+      ASSERT_TRUE(send());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds{20});
+    EXPECT_EQ(fx.server.stats().frames_read, on_wire) << tag;
+    // …and go out once the buffered responses are drained and the next
+    // read has to wait.
+    while (!in_flight.empty()) {
+      ASSERT_TRUE(read_one()) << tag << ", " << in_flight.size() << " left";
+    }
+    on_wire += kWindow / 2;
+  }
+  EXPECT_EQ(fx.server.stats().frames_read, on_wire);
+}
+
+TEST(Net, OneSenderThreadAndOneReaderThreadMayShareAClient) {
+  // bench_e2e's open-loop shape: a sender thread fires bursts on its own
+  // schedule while a reader thread collects the responses.
+  serve::ServerOptions options;
+  options.shards = 2;
+  NetFixture fx{options};
+  const BatchNacu direct{fx.config};
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  set_receive_timeout(client, std::chrono::seconds{10});
+
+  constexpr std::size_t kRequests = 2000;
+  nn::Rng rng{31};
+  std::vector<std::vector<fp::Fixed>> inputs;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    inputs.push_back(random_batch(rng, fx.config.format, 1 + i % 8));
+  }
+  std::thread sender{[&] {
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      if (client.send_submit(Function::Sigmoid, inputs[i]) == 0) {
+        return;
+      }
+      if (i % 32 == 31) {
+        std::this_thread::sleep_for(std::chrono::microseconds{100});
+      }
+    }
+  }};
+  std::size_t answered = 0;
+  while (answered < kRequests) {
+    const auto response = client.read_response();
+    if (!response || !response->ok() || response->id != answered + 1 ||
+        !bit_equal(response->values,
+                   direct.evaluate(Function::Sigmoid, inputs[answered]))) {
+      break;
+    }
+    ++answered;
+  }
+  sender.join();
+  EXPECT_EQ(answered, kRequests);
 }
 
 }  // namespace
