@@ -152,7 +152,6 @@ bool await(Pred&& pred, std::chrono::milliseconds timeout) {
 
 ModeResult run_mode(const core::NacuConfig& config, const Golden& golden,
                     std::string_view mode) {
-  obs::registry().reset_all();
   const bool seu = mode == "seu";
   const bool kill_mode = mode == "shard-kill";
 
@@ -360,7 +359,7 @@ ModeResult run_mode(const core::NacuConfig& config, const Golden& golden,
   result.detection_ms_mean = mean(detection_ms);
   result.recovery_ms_mean = mean(recovery_ms);
   const obs::Histogram::Snapshot latency =
-      obs::histogram("serve.request_latency_ns").snapshot();
+      server.metrics().histogram("serve.request_latency_ns").snapshot();
   result.p50_ns = latency.quantile_bound(0.50);
   result.p99_ns = latency.quantile_bound(0.99);
   return result;

@@ -32,8 +32,8 @@
 //
 // Per-request p50/p99 enqueue→complete latency comes from the
 // serve.request_latency_ns obs histogram (log2 buckets — the quantile is
-// an upper bucket bound, coarse but machine-comparable), with the metrics
-// registry reset around every cell so each snapshot is cell-local.
+// an upper bucket bound, coarse but machine-comparable), read from each
+// cell's own server, so every snapshot is cell-local.
 //
 //   ./bench_serving [--trials N]    # default 3, best-of-N per cell
 //
@@ -76,10 +76,9 @@ struct Cell {
 
 /// One (policy, clients) measurement: every client pushes kWindow requests,
 /// drains the futures, repeats for @p rounds. Latency quantiles come from
-/// the obs histogram, scoped to this cell by reset_all.
+/// the cell's server's own obs histogram.
 Cell run_cell(const core::NacuConfig& config, const serve::ServerOptions&
               options, std::size_t clients, std::size_t rounds) {
-  obs::registry().reset_all();
   serve::InferenceServer server{config, options};
   // Identical per-client inputs: a stride walk across the representable
   // range, rotating through sigma/tanh/exp.
@@ -140,7 +139,7 @@ Cell run_cell(const core::NacuConfig& config, const serve::ServerOptions&
           : static_cast<double>(counters.completed) /
                 static_cast<double>(counters.dispatches);
   const obs::Histogram::Snapshot latency =
-      obs::histogram("serve.request_latency_ns").snapshot();
+      server.metrics().histogram("serve.request_latency_ns").snapshot();
   cell.p50_ns = latency.quantile_bound(0.50);
   cell.p99_ns = latency.quantile_bound(0.99);
   return cell;

@@ -10,7 +10,8 @@
 // every accepted request, a mid-flight single-event upset that is
 // detected, quarantined and scrubbed with zero client-visible errors,
 // and the same serving layer reached over real loopback TCP through the
-// src/net/ wire protocol. Finishes with the serving metrics dump.
+// src/net/ wire protocol. Finishes by dumping each server's own metrics
+// registry.
 //
 // Usage: ./build/examples/serving_demo
 #include <chrono>
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch_nacu.hpp"
@@ -312,9 +314,18 @@ int main() {
               static_cast<unsigned long long>(wire_stats.responses_written),
               wire_mismatches == 0 ? "bit-identical" : "WRONG");
 
-  // 7. The per-stage serving metrics (serve.* entries of the registry).
-  std::printf("\nobs registry dump (see the serve.* entries):\n%s\n",
-              obs::Registry::instance().to_json().c_str());
+  // 7. The per-stage metrics: every server keeps its own registry.
+  const std::pair<const char*, obs::Registry*> registries[] = {
+      {"sharded", &server.metrics()},
+      {"admission", &gated.metrics()},
+      {"backpressure", &small.metrics()},
+      {"self-healing", &resilient.metrics()},
+      {"over-TCP inference", &wire_inference.metrics()},
+      {"over-TCP edge", &net_server.metrics()}};
+  for (const auto& [name, registry] : registries) {
+    std::printf("\n%s server's obs registry:\n%s", name,
+                registry->to_json().c_str());
+  }
   const bool admission_ok =
       be_shed == 1 && deadline_rejected && quota_rejected == 1;
   return total_mismatches == 0 && shutdown_rejected && admission_ok &&

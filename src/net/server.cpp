@@ -6,14 +6,27 @@
 #include <type_traits>
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace nacu::net {
 namespace {
 
 /// How long the accept loop blocks in poll() before re-checking the stop
 /// flag — the shutdown latency of an idle listener.
 constexpr int kAcceptPollMs = 50;
+
+/// @p now + @p relative_ns, saturated at the clock's range: a client's
+/// far-future deadline means no practical deadline, never signed overflow.
+std::chrono::steady_clock::time_point saturating_deadline(
+    std::chrono::steady_clock::time_point now, std::int64_t relative_ns) {
+  using Clock = std::chrono::steady_clock;
+  static_assert(std::is_same_v<Clock::duration, std::chrono::nanoseconds>);
+  std::int64_t at = 0;
+  if (__builtin_add_overflow(now.time_since_epoch().count(), relative_ns,
+                             &at)) {
+    return relative_ns > 0 ? Clock::time_point::max()
+                           : Clock::time_point::min();
+  }
+  return Clock::time_point{Clock::duration{at}};
+}
 
 }  // namespace
 
@@ -66,15 +79,13 @@ NetServer::NetServer(serve::InferenceServer& inference,
 NetServer::~NetServer() { shutdown(); }
 
 NetServer::Stats NetServer::stats() const {
-  Stats s;
-  s.connections = connections_accepted_.load(std::memory_order_relaxed);
-  s.frames_read = frames_read_.load(std::memory_order_relaxed);
-  s.requests_submitted = requests_submitted_.load(std::memory_order_relaxed);
-  s.responses_written = responses_written_.load(std::memory_order_relaxed);
-  s.immediate_errors = immediate_errors_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.write_failures = write_failures_.load(std::memory_order_relaxed);
-  return s;
+  return Stats{.connections = connections_accepted_.value(),
+               .frames_read = frames_read_.value(),
+               .requests_submitted = requests_submitted_.value(),
+               .responses_written = responses_written_.value(),
+               .immediate_errors = immediate_errors_.value(),
+               .protocol_errors = protocol_errors_.value(),
+               .write_failures = write_failures_.value()};
 }
 
 void NetServer::shutdown() {
@@ -106,7 +117,6 @@ void NetServer::shutdown() {
 }
 
 void NetServer::accept_loop() {
-  static obs::Counter& accepted_m = obs::counter("net.connections");
   while (!stopping_.load(std::memory_order_acquire)) {
     std::optional<Socket> conn_socket = listener_.accept(kAcceptPollMs);
     reap_connections(/*all=*/false);
@@ -121,8 +131,7 @@ void NetServer::accept_loop() {
     if (!conn_socket->send_all(hello.data(), hello.size())) {
       continue;  // greeting failed — peer already gone
     }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_m.add();
+    connections_accepted_.add();
     auto conn = std::make_unique<Connection>();
     conn->socket = std::move(*conn_socket);
     Connection& ref = *conn;
@@ -164,22 +173,19 @@ void NetServer::reap_connections(bool all) {
 }
 
 void NetServer::reader_loop(Connection& conn) {
-  static obs::Counter& frames_m = obs::counter("net.frames_read");
-  FrameReader reader{options_.max_frame_bytes};
+  FrameReader reader;
   std::vector<Pending> batch;
   for (;;) {
     const FrameReader::Frame frame = reader.next(conn.socket);
     const bool open = frame.status == FrameReader::Status::kFrame;
     if (open) {
-      frames_read_.fetch_add(1, std::memory_order_relaxed);
-      frames_m.add();
+      frames_read_.add();
       batch.push_back(handle_frame(frame.payload));
       if (reader.ready()) {
         continue;  // submit every buffered frame before waking the writer
       }
     } else if (frame.status == FrameReader::Status::kBroken) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      obs::counter("net.protocol_errors").add();
+      protocol_errors_.add();
     }
     // The next step blocks in recv or ends the connection: hand the writer
     // the whole batch with one wake-up. After the last hand-off the writer
@@ -209,12 +215,12 @@ NetServer::Pending NetServer::handle_frame(
   const auto id = r.u64();
   if (!id) {
     // Too short to even carry the id that an error frame would echo.
-    immediate_errors_.fetch_add(1, std::memory_order_relaxed);
+    immediate_errors_.add();
     return PendingError{0, ErrorCode::kBadRequest,
                         "frame too short for request id"};
   }
   const auto bad = [&](std::string message) -> Pending {
-    immediate_errors_.fetch_add(1, std::memory_order_relaxed);
+    immediate_errors_.add();
     return PendingError{*id, ErrorCode::kBadRequest, std::move(message)};
   };
 
@@ -250,7 +256,7 @@ NetServer::Pending NetServer::handle_frame(
   if (wire_options->deadline_ns) {
     // Relative on the wire, absolute on the serving clock from here on.
     submit_options.deadline =
-        inference_.now() + std::chrono::nanoseconds{*wire_options->deadline_ns};
+        saturating_deadline(inference_.now(), *wire_options->deadline_ns);
   }
 
   try {
@@ -271,12 +277,12 @@ NetServer::Pending NetServer::handle_frame(
                       static_cast<core::BatchNacu::Function>(function),
                       std::move(input), submit_options)
                 : inference_.submit_softmax(std::move(input), submit_options);
-        requests_submitted_.fetch_add(1, std::memory_order_relaxed);
+        requests_submitted_.add();
         return PendingFixed{*id, std::move(future)};
       }
       case Opcode::kSubmitMlp: {
         if (options_.mlp == nullptr) {
-          immediate_errors_.fetch_add(1, std::memory_order_relaxed);
+          immediate_errors_.add();
           return PendingError{*id, ErrorCode::kUnsupported,
                               "no MLP model hosted"};
         }
@@ -288,7 +294,7 @@ NetServer::Pending NetServer::handle_frame(
         auto future =
             inference_.submit_mlp(*options_.mlp, std::move(input),
                                   submit_options);
-        requests_submitted_.fetch_add(1, std::memory_order_relaxed);
+        requests_submitted_.add();
         return PendingF64{*id, std::move(future)};
       }
       default:
@@ -300,7 +306,7 @@ NetServer::Pending NetServer::handle_frame(
     std::string message;
     const ErrorCode code = classify_exception(std::current_exception(),
                                               message);
-    immediate_errors_.fetch_add(1, std::memory_order_relaxed);
+    immediate_errors_.add();
     return PendingError{*id, code, std::move(message)};
   }
 }
@@ -346,7 +352,6 @@ std::vector<std::uint8_t> NetServer::encode_response(
 }
 
 void NetServer::writer_loop(Connection& conn) {
-  static obs::Counter& responses_m = obs::counter("net.responses_written");
   std::vector<Pending> batch;
   std::vector<std::uint8_t> out;   // encoded frames not yet sent
   std::uint64_t held_frames = 0;   // frames in out
@@ -359,8 +364,7 @@ void NetServer::writer_loop(Connection& conn) {
       return;
     }
     if (!conn.write_failed && conn.socket.send_all(out.data(), out.size())) {
-      responses_written_.fetch_add(held_answers, std::memory_order_relaxed);
-      responses_m.add(held_frames);
+      responses_written_.add(held_answers);
     } else {
       if (!conn.write_failed) {
         conn.write_failed = true;
@@ -368,7 +372,7 @@ void NetServer::writer_loop(Connection& conn) {
         // not be served further.
         conn.socket.shutdown_receive();
       }
-      write_failures_.fetch_add(held_frames, std::memory_order_relaxed);
+      write_failures_.add(held_answers);
     }
     out.clear();
     held_frames = 0;

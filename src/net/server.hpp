@@ -51,6 +51,7 @@
 
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
 namespace nacu::net {
@@ -58,8 +59,6 @@ namespace nacu::net {
 struct NetServerOptions {
   /// 0 = ephemeral; read the bound port back via NetServer::port().
   std::uint16_t port = 0;
-  /// Per-frame payload bound enforced on every connection.
-  std::size_t max_frame_bytes = kMaxFrameBytes;
   /// Model served by kSubmitMlp frames (borrowed; keep alive for the
   /// server's lifetime). nullptr answers kSubmitMlp with kUnsupported.
   const nn::QuantizedMlp* mlp = nullptr;
@@ -92,10 +91,14 @@ class NetServer {
   /// response frame onto its socket, join everything. Idempotent.
   void shutdown();
 
-  /// Always-on per-server tallies (mirroring InferenceServer::Counters'
-  /// role): the drain guarantee is the invariant
-  /// requests_submitted == responses_written after shutdown() when no
-  /// client vanished mid-response (write_failures == 0).
+  /// This server's net.* metrics: one counter per Stats field, same name.
+  [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
+
+  /// Snapshot of this server's counters, exact whether or not obs metrics
+  /// are enabled (mirroring InferenceServer::counters()). The drain
+  /// guarantee is the invariant requests_submitted == responses_written
+  /// after shutdown() when no client vanished mid-response
+  /// (write_failures == 0).
   struct Stats {
     std::uint64_t connections = 0;      ///< accepted sockets
     std::uint64_t frames_read = 0;      ///< well-framed payloads received
@@ -107,7 +110,8 @@ class NetServer {
     std::uint64_t protocol_errors = 0;  ///< connections killed by broken
                                         ///< framing (bad length prefix /
                                         ///< EOF mid-frame)
-    std::uint64_t write_failures = 0;  ///< frames lost to a vanished client
+    std::uint64_t write_failures = 0;  ///< responses_written's frames lost
+                                       ///< to a vanished client instead
   };
   /// Counters are relaxed and, for the writer's two, bumped after the
   /// send: read them once the traffic they describe has finished.
@@ -172,13 +176,16 @@ class NetServer {
   std::atomic<bool> stopping_{false};
   std::once_flag shutdown_once_;
 
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> frames_read_{0};
-  std::atomic<std::uint64_t> requests_submitted_{0};
-  std::atomic<std::uint64_t> responses_written_{0};
-  std::atomic<std::uint64_t> immediate_errors_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> write_failures_{0};
+  obs::Registry metrics_;
+  // Handles into metrics_, looked up once; each event is counted here only.
+  obs::Counter& connections_accepted_ = metrics_.counter("net.connections");
+  obs::Counter& frames_read_ = metrics_.counter("net.frames_read");
+  obs::Counter& requests_submitted_ =
+      metrics_.counter("net.requests_submitted");
+  obs::Counter& responses_written_ = metrics_.counter("net.responses_written");
+  obs::Counter& immediate_errors_ = metrics_.counter("net.immediate_errors");
+  obs::Counter& protocol_errors_ = metrics_.counter("net.protocol_errors");
+  obs::Counter& write_failures_ = metrics_.counter("net.write_failures");
 };
 
 }  // namespace nacu::net

@@ -59,8 +59,7 @@ void Socket::close() noexcept {
   }
 }
 
-FrameReader::FrameReader(std::size_t max_frame_bytes)
-    : max_frame_bytes_{max_frame_bytes}, buffer_(kInitialBytes) {}
+FrameReader::FrameReader() : buffer_(kInitialBytes) {}
 
 std::size_t FrameReader::head_bytes() const noexcept {
   if (end_ - begin_ < kLengthPrefixBytes) {
@@ -70,7 +69,7 @@ std::size_t FrameReader::head_bytes() const noexcept {
   for (std::size_t i = 0; i < kLengthPrefixBytes; ++i) {
     length |= static_cast<std::uint32_t>(buffer_[begin_ + i]) << (8 * i);
   }
-  if (length == 0 || length > max_frame_bytes_) {
+  if (length == 0 || length > kMaxFrameBytes) {
     return kBrokenPrefix;
   }
   return kLengthPrefixBytes + length;

@@ -85,7 +85,7 @@ class FrameReader {
     std::span<const std::uint8_t> payload;
   };
 
-  explicit FrameReader(std::size_t max_frame_bytes = kMaxFrameBytes);
+  FrameReader();
 
   /// The next frame: straight from the buffer when a complete one is
   /// there, otherwise after as many blocking recv calls as it takes.
@@ -100,10 +100,9 @@ class FrameReader {
   static constexpr std::size_t kBrokenPrefix = ~std::size_t{0};
   /// Bytes the frame at the head of the buffer spans, prefix included: 0
   /// while the prefix itself is incomplete, kBrokenPrefix when it is zero
-  /// or over max_frame_bytes.
+  /// or over kMaxFrameBytes.
   [[nodiscard]] std::size_t head_bytes() const noexcept;
 
-  std::size_t max_frame_bytes_;
   std::vector<std::uint8_t> buffer_;
   std::size_t begin_ = 0;  ///< first byte not yet handed out
   std::size_t end_ = 0;    ///< one past the last byte received

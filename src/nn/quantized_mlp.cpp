@@ -13,6 +13,7 @@ QuantizedMlp::QuantizedMlp(const Mlp& reference,
                            const core::NacuConfig& config)
     : unit_{config},
       activation_{reference.config().activation},
+      input_width_{reference.weights(0).cols()},
       fmt_{config.format},
       // MAC accumulator: datapath fb with headroom integer bits for the
       // longest dot product.
@@ -135,6 +136,10 @@ std::vector<fp::Fixed> QuantizedMlp::dense_forward(
 
 std::vector<double> QuantizedMlp::predict_proba(
     const std::vector<double>& input) const {
+  if (input.size() != input_width_) {
+    // dense_forward's MAC loop reads one weight per input element.
+    throw std::invalid_argument("input width does not match the model");
+  }
   std::vector<fp::Fixed> acts;
   acts.reserve(input.size());
   for (const double v : input) {

@@ -27,6 +27,8 @@ class QuantizedMlp {
   /// magnitude exceeds the representable range (pick a wider format).
   QuantizedMlp(const Mlp& reference, const core::NacuConfig& config);
 
+  /// Throws std::invalid_argument unless @p input has the model's input
+  /// width.
   [[nodiscard]] std::vector<double> predict_proba(
       const std::vector<double>& input) const;
   [[nodiscard]] int predict(const std::vector<double>& input) const;
@@ -55,6 +57,7 @@ class QuantizedMlp {
 
   core::BatchNacu unit_;
   HiddenActivation activation_;
+  std::size_t input_width_;
   fp::Format fmt_;
   fp::Format acc_fmt_;
   std::vector<std::vector<std::vector<std::int64_t>>> weights_raw_;

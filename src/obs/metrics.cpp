@@ -14,6 +14,8 @@ std::atomic<bool> g_metrics_enabled{[] {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }()};
 
+std::atomic<std::uint64_t> g_next_histogram_id{1};
+
 void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') {
@@ -50,6 +52,9 @@ void set_metrics_enabled(bool enabled) noexcept {
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
+Histogram::Histogram() noexcept
+    : id_{g_next_histogram_id.fetch_add(1, std::memory_order_relaxed)} {}
+
 void Histogram::record(std::uint64_t value) noexcept {
   if (!metrics_enabled()) {
     return;
@@ -72,11 +77,14 @@ void Histogram::record(std::uint64_t value) noexcept {
 }
 
 Histogram::Shard& Histogram::local_shard() {
-  // Per-thread cache of (histogram → shard). Registry-owned histograms are
-  // never destroyed, so cached pointers cannot dangle.
-  thread_local std::vector<std::pair<const Histogram*, Shard*>> cache;
-  for (const auto& [hist, shard] : cache) {
-    if (hist == this) {
+  // Per-thread cache of (histogram id → shard). A histogram dies with its
+  // registry and takes its shards along; its id is never issued again, so
+  // the stale entry can never match, and costs 16 bytes until the thread
+  // exits. Keyed by address, a new histogram at a recycled address would
+  // be handed the freed shard.
+  thread_local std::vector<std::pair<std::uint64_t, Shard*>> cache;
+  for (const auto& [id, shard] : cache) {
+    if (id == id_) {
       return *shard;
     }
   }
@@ -86,7 +94,7 @@ Histogram::Shard& Histogram::local_shard() {
     const std::lock_guard<std::mutex> lock{mutex_};
     shards_.push_back(std::move(owned));
   }
-  cache.emplace_back(this, shard);
+  cache.emplace_back(id_, shard);
   return *shard;
 }
 

@@ -1,22 +1,26 @@
 // Lightweight metrics registry: monotonic counters, gauges, and latency
 // histograms with thread-local sharding aggregated on read.
 //
-// The instrumentation is compiled in everywhere but *off* by default: every
-// recording site pays exactly one relaxed atomic load when metrics are
-// disabled (measured ≤2% on bench_throughput, see DESIGN.md §3e). Turn the
-// layer on with set_metrics_enabled(true) — the `--metrics` flag on
-// bench_throughput / fault_campaign and examples/metrics_dump do — or via
-// the NACU_METRICS=1 environment variable, then read everything back with
-// registry().to_json().
+// Counters always count: add() is one relaxed fetch_add, so a counter is
+// exact whether or not metrics are enabled and can serve as a component's
+// own books. Gauges, histograms and ScopedTimer are opt-in: while metrics
+// are disabled each of their sites pays exactly one relaxed atomic load
+// (measured ≤2% on bench_throughput, see DESIGN.md §3e). Turn them on with
+// set_metrics_enabled(true) — the `--metrics` flag on bench_throughput /
+// fault_campaign and examples/metrics_dump do — or via the NACU_METRICS=1
+// environment variable, then read everything back with to_json().
 //
-// Metrics are named, process-global, and live for the whole process:
-// counter()/gauge()/histogram() return stable references that sites cache
-// in a function-local static, so the hot path never touches the registry
-// map. Counters and gauges are single atomics (relaxed — they are
-// statistics, not synchronisation). Histograms shard per recording thread:
-// each thread appends to its own cache-line-padded shard (registered once
-// under the histogram's mutex) and snapshot() sums the shards, so
-// concurrent recorders never contend on a shared word.
+// A Registry is a named set of metrics: Registry::instance() is the
+// process-global one (core, nn, fault, dse record there), and each
+// serve::InferenceServer and net::NetServer owns one of its own. Lookups
+// return references valid for the registry's lifetime, so sites look a
+// metric up once — a static for the global registry, a member for an owned
+// one — and the hot path never touches the map. Counters and gauges are
+// single atomics (relaxed — they are statistics, not synchronisation).
+// Histograms shard per recording thread: each thread appends to its own
+// cache-line-padded shard (registered once under the histogram's mutex) and
+// snapshot() sums the shards, so concurrent recorders never contend on a
+// shared word.
 #pragma once
 
 #include <array>
@@ -31,12 +35,12 @@
 
 namespace nacu::obs {
 
-/// Process-wide metrics switch — one relaxed load, the whole cost of a
-/// disabled instrumentation site.
+/// Process-wide switch for gauges, histograms, timers and spans — one
+/// relaxed load, the whole cost of a disabled site. Counters ignore it.
 [[nodiscard]] bool metrics_enabled() noexcept;
 void set_metrics_enabled(bool enabled) noexcept;
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count; always on.
 class Counter {
  public:
   Counter() = default;
@@ -44,9 +48,6 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t n = 1) noexcept {
-    if (!metrics_enabled()) {
-      return;
-    }
     value_.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -101,7 +102,7 @@ class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
 
-  Histogram() = default;
+  Histogram() noexcept;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -140,6 +141,9 @@ class Histogram {
 
   [[nodiscard]] Shard& local_shard();
 
+  /// Never reused, unlike an address: the key of each thread's shard cache,
+  /// so a histogram built where a destroyed one lived starts uncached.
+  const std::uint64_t id_;
   mutable std::mutex mutex_;  ///< guards shards_ growth only
   std::vector<std::unique_ptr<Shard>> shards_;
 };
@@ -170,10 +174,14 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// The process-global name → metric map. Lookups are mutex-guarded and
-/// return references that stay valid forever — cache them in a static.
+/// A name → metric map. Lookups are mutex-guarded and return references
+/// that stay valid for the registry's lifetime — look them up once.
 class Registry {
  public:
+  Registry() = default;
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
+
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
   [[nodiscard]] Histogram& histogram(std::string_view name);
@@ -187,11 +195,11 @@ class Registry {
   /// Metrics themselves stay registered; cached references stay valid.
   void reset_all();
 
+  /// The process-global registry; never destroyed, so references into it
+  /// may be cached in statics and used past static destructors.
   static Registry& instance();
 
  private:
-  Registry() = default;
-
   mutable std::mutex mutex_;
   // Sorted association lists: few dozen metrics, insert-once, read-rare.
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;

@@ -100,9 +100,6 @@ struct ResilienceOptions {
   std::size_t failure_threshold = 3;
   /// Open → HalfOpen cooldown.
   std::chrono::milliseconds open_cooldown{5};
-  /// Requests admitted to a HalfOpen shard before routing skips it again;
-  /// the first cleanly executed dispatch group closes the circuit.
-  std::size_t half_open_trials = 4;
   /// Server-wide retry/hedge budget: sustained tokens per second and
   /// burst. Every transparent requeue and every fired hedge draws one
   /// token; an empty bucket turns a retry into ShardFailedError and a

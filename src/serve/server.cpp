@@ -10,11 +10,14 @@
 #include <utility>
 
 #include "fault/detectors.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace nacu::serve {
 namespace {
+
+/// Requests a HalfOpen shard admits before routing skips it again; the
+/// first cleanly executed dispatch group closes the circuit.
+constexpr std::size_t kHalfOpenTrials = 4;
 
 std::size_t resolve_shard_count(std::size_t requested) {
   if (requested > 0) {
@@ -98,7 +101,8 @@ InferenceServer::InferenceServer(const core::NacuConfig& config,
   }
   last_heartbeat_.assign(shard_count, 0);
   last_progress_.assign(shard_count, resilience_now());
-  obs::gauge("serve.shard.count").set(static_cast<std::int64_t>(shard_count));
+  metrics_.gauge("serve.shard.count")
+      .set(static_cast<std::int64_t>(shard_count));
   // Cache working set across all shards' engines (plus any other live
   // engines in the process) — the number the table-mode policy budgets
   // against. With HalfRange tables this is about half the dense figure.
@@ -167,7 +171,7 @@ void InferenceServer::sweep_leftovers() {
       }
       const bool owed = !request_done(r);
       if (owed) {
-        retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
+        retry_exhausted_.add();
       }
       finish(r);
       if (owed) {
@@ -212,30 +216,32 @@ ShardHealthSnapshot InferenceServer::shard_health(
 }
 
 InferenceServer::Counters InferenceServer::counters() const {
-  Counters c;
-  c.accepted = accepted_.load(std::memory_order_relaxed);
-  c.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
-  c.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
-  c.rejected_quota = rejected_quota_.load(std::memory_order_relaxed);
-  c.rejected_deadline = rejected_deadline_.load(std::memory_order_relaxed);
-  c.shed_priority = shed_priority_.load(std::memory_order_relaxed);
-  c.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  c.completed = completed_.load(std::memory_order_relaxed);
-  c.dispatches = dispatches_.load(std::memory_order_relaxed);
-  c.steals = steals_.load(std::memory_order_relaxed);
-  c.stolen_requests = stolen_requests_.load(std::memory_order_relaxed);
-  c.detections = detections_.load(std::memory_order_relaxed);
-  c.degraded_requests = degraded_requests_.load(std::memory_order_relaxed);
-  c.scrubs = scrubs_.load(std::memory_order_relaxed);
-  c.scrub_failures = scrub_failures_.load(std::memory_order_relaxed);
-  c.respawns = respawns_.load(std::memory_order_relaxed);
-  c.stalls = stalls_.load(std::memory_order_relaxed);
-  c.retried = retried_.load(std::memory_order_relaxed);
-  c.retry_exhausted = retry_exhausted_.load(std::memory_order_relaxed);
-  c.hedges = hedges_launched_.load(std::memory_order_relaxed);
-  c.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  c.circuit_opens = circuit_opens_.load(std::memory_order_relaxed);
-  c.circuit_closes = circuit_closes_.load(std::memory_order_relaxed);
+  Counters c{.accepted = accepted_.value(),
+             .rejected_overload = rejected_overload_.value(),
+             .rejected_shutdown = rejected_shutdown_.value(),
+             .rejected_quota = rejected_quota_.value(),
+             .rejected_deadline = rejected_deadline_.value(),
+             .shed_priority = shed_priority_.value(),
+             .shed_deadline = shed_deadline_.value(),
+             .completed = completed_.value(),
+             .dispatches = dispatches_.value(),
+             .steals = steals_.value(),
+             .stolen_requests = stolen_requests_.value(),
+             .degraded_requests = degraded_requests_.value(),
+             .retried = retried_.value(),
+             .retry_exhausted = retry_exhausted_.value(),
+             .hedges = hedges_launched_.value(),
+             .hedge_wins = hedge_wins_.value(),
+             .circuit_opens = circuit_opens_.value(),
+             .circuit_closes = circuit_closes_.value()};
+  for (const auto& shard : shards_) {
+    const ShardHealth& h = shard->health;
+    c.detections += h.detections();
+    c.scrubs += h.scrubs();
+    c.scrub_failures += h.scrub_failures();
+    c.respawns += h.respawns();
+    c.stalls += h.stalls();
+  }
   return c;
 }
 
@@ -256,36 +262,17 @@ std::chrono::steady_clock::time_point InferenceServer::resilience_now() const {
 template <typename Result, typename Payload>
 std::future<Result> InferenceServer::enqueue(
     Payload payload, const SubmitOptions& submit_options) {
-  static obs::Counter& accepted_m = obs::counter("serve.accepted");
-  static obs::Counter& rejected_overload_m =
-      obs::counter("serve.rejected_overload");
-  static obs::Counter& rejected_shutdown_m =
-      obs::counter("serve.rejected_shutdown");
-  static obs::Counter& rejected_quota_m =
-      obs::counter("serve.admission.rejected_quota");
-  static obs::Counter& rejected_deadline_m =
-      obs::counter("serve.admission.rejected_deadline");
-  static obs::Counter& shed_priority_m =
-      obs::counter("serve.admission.shed_priority");
-  static obs::Counter& hedges_armed_m =
-      obs::counter("serve.resilience.hedges_armed");
-  static obs::Gauge& depth_high_water =
-      obs::gauge("serve.queue_depth_high_water");
-
   std::future<Result> future = payload.result->get_future();
   if (stopping_.load(std::memory_order_acquire)) {
-    rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    rejected_shutdown_m.add();
+    rejected_shutdown_.add();
     throw ShutdownError{};
   }
   switch (admission_.preadmit(submit_options)) {
     case AdmissionController::Verdict::RejectDeadline:
-      rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
-      rejected_deadline_m.add();
+      rejected_deadline_.add();
       throw DeadlineExpiredError{};
     case AdmissionController::Verdict::RejectQuota:
-      rejected_quota_.fetch_add(1, std::memory_order_relaxed);
-      rejected_quota_m.add();
+      rejected_quota_.add();
       throw QuotaExceededError{};
     case AdmissionController::Verdict::Admit:
       break;
@@ -331,13 +318,12 @@ std::future<Result> InferenceServer::enqueue(
       }
       switch (shard.queue.try_push(request, depth_limit)) {
         case ShardQueue::Push::Ok:
-          depth_high_water.record_max(
+          queue_depth_high_water_.record_max(
               static_cast<std::int64_t>(shard.queue.size()));
           return idx;
         case ShardQueue::Push::Stopped:
           // stop() reaches every queue; seeing one stopped means shutdown.
-          rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-          rejected_shutdown_m.add();
+          rejected_shutdown_.add();
           throw ShutdownError{};
         case ShardQueue::Push::Full:
           break;  // probe the next shard
@@ -350,34 +336,35 @@ std::future<Result> InferenceServer::enqueue(
     placed = try_route(/*respect_circuit=*/false);
   }
   if (placed) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_m.add();
+    accepted_.add();
     if (hedged) {
       const auto now_r = resilience_now();
       const double frac =
           std::clamp(submit_options.hedge_fraction, 0.0, 1.0);
-      const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                *submit_options.deadline - now_r)
-                                .count();
-      const auto wait_ns = std::chrono::nanoseconds{static_cast<std::int64_t>(
-          interval <= 0 ? 0 : static_cast<double>(interval) * frac)};
+      const std::chrono::nanoseconds left = *submit_options.deadline - now_r;
+      // Scaled in double but never past the time left, so a far-future
+      // (saturated) deadline overflows neither the conversion nor the sum.
+      const double scaled = static_cast<double>(left.count()) * frac;
+      const std::chrono::nanoseconds wait =
+          left.count() <= 0 ? std::chrono::nanoseconds::zero()
+          : scaled < static_cast<double>(left.count())
+              ? std::chrono::nanoseconds{static_cast<std::int64_t>(scaled)}
+              : left;
       const std::lock_guard<std::mutex> lock{hedges_mutex_};
       hedges_.push_back(PendingHedge{
-          .fire_at = now_r + wait_ns,
+          .fire_at = now_r + wait,
           .origin = *placed,
           .request = std::move(*hedge)});
-      hedges_armed_m.add();
+      hedges_armed_.add();
     }
     return future;
   }
   if (depth_limit < per_shard_capacity_) {
     // Rejected at a sub-capacity class limit: a higher-priority request
     // would still have been admitted — this is a priority shed.
-    shed_priority_.fetch_add(1, std::memory_order_relaxed);
-    shed_priority_m.add();
+    shed_priority_.add();
   } else {
-    rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    rejected_overload_m.add();
+    rejected_overload_.add();
   }
   throw OverloadedError{};
 }
@@ -418,10 +405,6 @@ std::future<nn::LstmFixed::State> InferenceServer::submit_lstm(
 }
 
 bool InferenceServer::try_steal(std::size_t shard_index) {
-  static obs::Counter& steals_m = obs::counter("serve.shard.steals");
-  static obs::Counter& stolen_m = obs::counter("serve.shard.stolen_requests");
-  static obs::Histogram& steal_batch_m =
-      obs::histogram("serve.shard.steal_batch");
   Shard& thief = *shards_[shard_index];
   const std::size_t shard_count = shards_.size();
   // Cheap atomic scan for the most loaded victim — advisory, the steal
@@ -450,17 +433,13 @@ bool InferenceServer::try_steal(std::size_t shard_index) {
     return false;
   }
   thief.queue.adopt(got);
-  steals_.fetch_add(1, std::memory_order_relaxed);
-  stolen_requests_.fetch_add(got, std::memory_order_relaxed);
-  steals_m.add();
-  stolen_m.add(got);
-  steal_batch_m.record(got);
+  steals_.add();
+  stolen_requests_.add(got);
+  steal_batch_.record(got);
   return true;
 }
 
 void InferenceServer::dispatcher_loop(std::size_t shard_index) {
-  static obs::Counter& crashes_m =
-      obs::counter("serve.resilience.dispatcher_crashes");
   try {
     dispatcher_run(shard_index);
   } catch (...) {
@@ -468,13 +447,12 @@ void InferenceServer::dispatcher_loop(std::size_t shard_index) {
     // process. Mark the shard dead; the supervisor joins this thread,
     // sweeps the orphans into retries-or-errors, rebuilds the engine, and
     // respawns.
-    crashes_m.add();
+    dispatcher_crashes_.add();
     shards_[shard_index]->health.mark_dead();
   }
 }
 
 void InferenceServer::dispatcher_run(std::size_t shard_index) {
-  static obs::Gauge& depth_g = obs::gauge("serve.queue_depth");
   Shard& shard = *shards_[shard_index];
   const std::size_t max_batch = shard.batcher.options().max_batch;
   const bool stealing =
@@ -533,14 +511,12 @@ void InferenceServer::dispatcher_run(std::size_t shard_index) {
     }
     std::vector<Request> group = shard.batcher.take_group();
     shard.queue.on_taken(group.size());
-    depth_g.set(static_cast<std::int64_t>(shard.queue.size()));
+    queue_depth_.set(static_cast<std::int64_t>(shard.queue.size()));
     execute_group(shard, std::move(group));
   }
 }
 
 void InferenceServer::on_detection(Shard& shard, std::size_t function_index) {
-  static obs::Counter& detections_m =
-      obs::counter("serve.resilience.detections");
   // Order matters for the scrub handshake: publish the quarantine bit
   // (release) before requesting the scrub, so the supervisor's rewrite
   // can never race a table read from this dispatcher — we stop reading
@@ -550,30 +526,16 @@ void InferenceServer::on_detection(Shard& shard, std::size_t function_index) {
   shard.health.request_scrub();
   shard.health.record_detection();
   shard.group_detections += 1;
-  detections_.fetch_add(1, std::memory_order_relaxed);
-  detections_m.add();
   if (shard.health.record_failure(options_.resilience.failure_threshold,
                                   resilience_now())) {
-    circuit_opens_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("serve.resilience.circuit_opens").add();
+    circuit_opens_.add();
   }
 }
 
 void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
-  static obs::Counter& dispatches_m = obs::counter("serve.dispatches");
-  static obs::Counter& shed_deadline_m =
-      obs::counter("serve.admission.shed_deadline");
-  static obs::Counter& degraded_m =
-      obs::counter("serve.resilience.degraded_requests");
-  static obs::Histogram& group_requests =
-      obs::histogram("serve.group_requests");
-  static obs::Histogram& coalesced_elems =
-      obs::histogram("serve.coalesced_elems");
-  static obs::Histogram& dispatch_ns = obs::histogram("serve.dispatch_ns");
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
-  dispatches_m.add();
-  group_requests.record(group.size());
-  const obs::ScopedTimer timer{dispatch_ns};
+  dispatches_.add();
+  group_requests_.record(group.size());
+  const obs::ScopedTimer timer{dispatch_ns_};
   const obs::TraceSpan span{"InferenceServer::dispatch"};
   shard.group_detections = 0;
 
@@ -589,8 +551,7 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
     for (std::size_t i = 0; i < group.size(); ++i) {
       if (group[i].deadline.has_value() && *group[i].deadline <= now) {
         handled[i] = true;
-        shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-        shed_deadline_m.add();
+        shed_deadline_.add();
         finish(group[i]);
         fail_request(group[i],
                      std::make_exception_ptr(DeadlineExpiredError{}));
@@ -646,11 +607,9 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
       }
       if ((quarantined & (1u << fi)) != 0 ||
           (shard.health.quarantined() & (1u << fi)) != 0) {
-        degraded_requests_.fetch_add(members.size(),
-                                     std::memory_order_relaxed);
-        degraded_m.add(members.size());
+        degraded_requests_.add(members.size());
       }
-      coalesced_elems.record(total);
+      coalesced_elems_.record(total);
       std::size_t offset = 0;
       for (const std::size_t i : members) {
         auto& act = std::get<ActivationRequest>(group[i].payload);
@@ -666,7 +625,7 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
         finish(group[i]);
         const bool won = act.result->set_value(std::move(act.input));
         if (won && group[i].hedge_copy) {
-          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+          hedge_wins_.add();
         }
       }
     } catch (...) {
@@ -693,24 +652,18 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
   // it resets the failure streak and closes a HalfOpen trial.
   if (shard.group_detections == 0) {
     if (shard.health.record_success()) {
-      circuit_closes_.fetch_add(1, std::memory_order_relaxed);
-      obs::counter("serve.resilience.circuit_closes").add();
+      circuit_closes_.add();
     }
   }
 }
 
 void InferenceServer::execute_one(Shard& shard, Request& request) {
-  static obs::Counter& degraded_m =
-      obs::counter("serve.resilience.degraded_requests");
   bool won = false;
-  // Every counter — this one and finish()'s — moves *before* the promise
-  // resolves, so a client that observed its future ready also observes
-  // the counters (promise synchronisation publishes the sequenced-before
-  // increments). Hence compute first, then account, then publish.
-  const auto note_degraded = [this] {
-    degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-    degraded_m.add();
-  };
+  // Every counter — degraded_requests_ and finish()'s — moves *before* the
+  // promise resolves, so a client that observed its future ready also
+  // observes the counters (promise synchronisation publishes the
+  // sequenced-before increments). Hence compute first, then account, then
+  // publish.
   std::visit(
       [&](auto& r) {
         using T = std::decay_t<decltype(r)>;
@@ -721,7 +674,7 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
           if constexpr (std::is_same_v<T, ActivationRequest>) {
             const auto fi = static_cast<std::size_t>(r.function);
             if ((shard.health.quarantined() & (1u << fi)) != 0) {
-              note_degraded();
+              degraded_requests_.add();
               std::vector<fp::Fixed> out(
                   r.input.size(), fp::Fixed::zero(shard.engine->format()));
               evaluate_degraded(shard.engine->unit(), r.function, r.input,
@@ -734,7 +687,7 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
                   !verify_activation(*checker_, shard.engine->format(),
                                      r.function, r.input, out)) {
                 on_detection(shard, fi);
-                note_degraded();
+                degraded_requests_.add();
                 evaluate_degraded(shard.engine->unit(), r.function, r.input,
                                   out);
               }
@@ -745,14 +698,14 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
             if ((shard.health.quarantined() & (1u << exp_fi)) != 0) {
               // Softmax reads the exp table; quarantined → the scalar
               // unit's softmax (bit-identical by construction).
-              note_degraded();
+              degraded_requests_.add();
               value = shard.engine->unit().softmax(r.logits);
             } else {
               std::vector<fp::Fixed> out = shard.engine->softmax(r.logits);
               if (shard.verify &&
                   !verify_softmax(*checker_, *shard.engine, r.logits)) {
                 on_detection(shard, exp_fi);
-                note_degraded();
+                degraded_requests_.add();
                 out = shard.engine->unit().softmax(r.logits);
               }
               value = std::move(out);
@@ -777,25 +730,21 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
       },
       request.payload);
   if (won && request.hedge_copy) {
-    hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+    hedge_wins_.add();
   }
 }
 
 void InferenceServer::finish(const Request& request) {
-  static obs::Counter& completed_m = obs::counter("serve.completed");
-  static obs::Histogram& latency =
-      obs::histogram("serve.request_latency_ns");
   if (request.hedge_copy) {
     return;  // not client work; the original's finish() keeps the books
   }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  completed_m.add();
+  completed_.add();
   if (obs::metrics_enabled() &&
       request.enqueued_at != std::chrono::steady_clock::time_point{}) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         now() - request.enqueued_at)
                         .count();
-    latency.record(static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
+    request_latency_ns_.record(static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
   }
 }
 
@@ -855,11 +804,8 @@ void InferenceServer::supervisor_pass(
     } else if (shards_.size() > 1 &&
                now - last_progress_[i] >= res.stall_timeout) {
       shard.health.record_stall();
-      stalls_.fetch_add(1, std::memory_order_relaxed);
-      obs::counter("serve.resilience.stalls").add();
       if (shard.health.force_open(now)) {
-        circuit_opens_.fetch_add(1, std::memory_order_relaxed);
-        obs::counter("serve.resilience.circuit_opens").add();
+        circuit_opens_.add();
       }
       std::vector<Request> stranded;
       (void)shard.queue.steal_into(
@@ -876,21 +822,19 @@ void InferenceServer::supervisor_pass(
     shard.health.maybe_half_open(
         now, std::chrono::duration_cast<std::chrono::nanoseconds>(
                  res.open_cooldown),
-        res.half_open_trials);
+        kHalfOpenTrials);
   }
   fire_due_hedges(now);
 }
 
 void InferenceServer::recover_dead_shard(
     std::size_t shard_index, std::chrono::steady_clock::time_point now) {
-  static obs::Counter& respawns_m = obs::counter("serve.resilience.respawns");
   Shard& shard = *shards_[shard_index];
   if (shard.dispatcher.joinable()) {
     shard.dispatcher.join();  // already exited through the crash barrier
   }
   if (shard.health.force_open(now)) {
-    circuit_opens_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("serve.resilience.circuit_opens").add();
+    circuit_opens_.add();
   }
   // With the thread joined, the batcher and scratch are supervisor-owned.
   // Sweep everything the dead dispatcher held or would have drained.
@@ -921,8 +865,6 @@ void InferenceServer::recover_dead_shard(
       .set(static_cast<std::int64_t>(core::BatchNacu::live_table_bytes()));
   shard.health.clear_dead();
   shard.health.record_respawn();
-  respawns_.fetch_add(1, std::memory_order_relaxed);
-  respawns_m.add();
   last_heartbeat_[shard_index] = shard.health.heartbeat();
   last_progress_[shard_index] = now;
   if (!stopping_.load(std::memory_order_acquire)) {
@@ -938,9 +880,6 @@ void InferenceServer::recover_dead_shard(
 
 void InferenceServer::scrub_shard(std::size_t shard_index,
                                   std::chrono::steady_clock::time_point now) {
-  static obs::Counter& scrubs_m = obs::counter("serve.resilience.scrubs");
-  static obs::Counter& scrub_failures_m =
-      obs::counter("serve.resilience.scrub_failures");
   const obs::TraceSpan span{"InferenceServer::scrub"};
   Shard& shard = *shards_[shard_index];
   const std::int64_t min_raw = shard.engine->format().min_raw();
@@ -974,16 +913,9 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
     shard.health.record_scrub(clean);
     if (clean) {
       shard.health.clear_quarantine(fi);
-      scrubs_.fetch_add(1, std::memory_order_relaxed);
-      scrubs_m.add();
-    } else {
-      scrub_failures_.fetch_add(1, std::memory_order_relaxed);
-      scrub_failures_m.add();
-      if (shard.health.record_failure(options_.resilience.failure_threshold,
-                                      now)) {
-        circuit_opens_.fetch_add(1, std::memory_order_relaxed);
-        obs::counter("serve.resilience.circuit_opens").add();
-      }
+    } else if (shard.health.record_failure(
+                   options_.resilience.failure_threshold, now)) {
+      circuit_opens_.add();
     }
   }
   if (shard.health.quarantined() == 0 && !shard.health.dispatcher_dead() &&
@@ -991,14 +923,12 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
     // Fully healed: back to full-speed table serving without waiting out
     // the cooldown/half-open probation.
     shard.health.close();
-    circuit_closes_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("serve.resilience.circuit_closes").add();
+    circuit_closes_.add();
   }
 }
 
 void InferenceServer::fire_due_hedges(
     std::chrono::steady_clock::time_point now) {
-  static obs::Counter& hedges_m = obs::counter("serve.resilience.hedges");
   std::vector<PendingHedge> due;
   {
     const std::lock_guard<std::mutex> lock{hedges_mutex_};
@@ -1038,8 +968,7 @@ void InferenceServer::fire_due_hedges(
       }
       if (shard.queue.try_push(h.request, per_shard_capacity_) ==
           ShardQueue::Push::Ok) {
-        hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-        hedges_m.add();
+        hedges_launched_.add();
         break;
       }
     }
@@ -1049,9 +978,6 @@ void InferenceServer::fire_due_hedges(
 }
 
 void InferenceServer::requeue_or_fail(Request&& request) {
-  static obs::Counter& retried_m = obs::counter("serve.resilience.retried");
-  static obs::Counter& exhausted_m =
-      obs::counter("serve.resilience.retry_exhausted");
   if (request.hedge_copy) {
     return;  // copies are disposable; the original owns the future
   }
@@ -1072,8 +998,7 @@ void InferenceServer::requeue_or_fail(Request&& request) {
         }
         if (shard.queue.try_push(request, per_shard_capacity_) ==
             ShardQueue::Push::Ok) {
-          retried_.fetch_add(1, std::memory_order_relaxed);
-          retried_m.add();
+          retried_.add();
           return;
         }
       }
@@ -1082,8 +1007,7 @@ void InferenceServer::requeue_or_fail(Request&& request) {
       }
     }
   }
-  retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
-  exhausted_m.add();
+  retry_exhausted_.add();
   finish(request);
   fail_request(request, std::make_exception_ptr(ShardFailedError{}));
 }

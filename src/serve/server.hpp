@@ -54,11 +54,13 @@
 //  * per-request error isolation — a request with bad inputs (e.g. a Fixed
 //    outside the datapath format) gets the exception on its own future; the
 //    other requests of the same coalesced group still complete correctly;
-//  * observability — per-stage obs:: metrics: serve.* admission counters
-//    and latency histograms (log2 buckets give p50/p99 through
-//    Registry::to_json()), serve.shard.* steal counters, serve.admission.*
-//    shed/quota counters, and serve.resilience.* detection/recovery
-//    counters.
+//  * observability — each server owns an obs::Registry (metrics()) with
+//    every serve.* metric: admission and completion counters, serve.shard.*
+//    steal counters, serve.admission.* shed/quota counters,
+//    serve.resilience.* recovery counters, and latency histograms (log2
+//    buckets give p50/p99 through to_json()). Counters always count and are
+//    the server's only books — counters() is a snapshot of them — while
+//    gauges and histograms record only with obs metrics enabled.
 #pragma once
 
 #include <atomic>
@@ -71,6 +73,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/micro_batcher.hpp"
 #include "serve/request.hpp"
@@ -197,9 +200,13 @@ class InferenceServer {
   /// Point-in-time health of shard @p shard_index.
   [[nodiscard]] ShardHealthSnapshot shard_health(std::size_t shard_index) const;
 
-  /// Per-server admission/completion tallies — unlike the obs:: registry
-  /// these are always on and scoped to this instance, so tests can assert
-  /// exact counts without toggling the global metrics switch. Invariant
+  /// This server's serve.* metrics (serve.table.resident_bytes, a
+  /// process-wide figure, stays in the global registry).
+  [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
+
+  /// Snapshot of this server's counters, exact whether or not obs metrics
+  /// are enabled; the recovery totals (detections, scrubs, scrub_failures,
+  /// respawns, stalls) are sums of the shard_health() tallies. Invariant
   /// after shutdown(): accepted == completed (hedge copies are not client
   /// work and count toward neither), and
   /// accepted + rejected_* + shed_priority == submissions attempted.
@@ -375,29 +382,51 @@ class InferenceServer {
   std::atomic<bool> stopping_{false};
   std::once_flag join_once_;
 
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_overload_{0};
-  std::atomic<std::uint64_t> rejected_shutdown_{0};
-  std::atomic<std::uint64_t> rejected_quota_{0};
-  std::atomic<std::uint64_t> rejected_deadline_{0};
-  std::atomic<std::uint64_t> shed_priority_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> dispatches_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> stolen_requests_{0};
-  std::atomic<std::uint64_t> detections_{0};
-  std::atomic<std::uint64_t> degraded_requests_{0};
-  std::atomic<std::uint64_t> scrubs_{0};
-  std::atomic<std::uint64_t> scrub_failures_{0};
-  std::atomic<std::uint64_t> respawns_{0};
-  std::atomic<std::uint64_t> stalls_{0};
-  std::atomic<std::uint64_t> retried_{0};
-  std::atomic<std::uint64_t> retry_exhausted_{0};
-  std::atomic<std::uint64_t> hedges_launched_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
-  std::atomic<std::uint64_t> circuit_opens_{0};
-  std::atomic<std::uint64_t> circuit_closes_{0};
+  obs::Registry metrics_;
+  // Handles into metrics_, looked up once; each event is counted here only.
+  obs::Counter& accepted_ = metrics_.counter("serve.accepted");
+  obs::Counter& rejected_overload_ =
+      metrics_.counter("serve.rejected_overload");
+  obs::Counter& rejected_shutdown_ =
+      metrics_.counter("serve.rejected_shutdown");
+  obs::Counter& rejected_quota_ =
+      metrics_.counter("serve.admission.rejected_quota");
+  obs::Counter& rejected_deadline_ =
+      metrics_.counter("serve.admission.rejected_deadline");
+  obs::Counter& shed_priority_ =
+      metrics_.counter("serve.admission.shed_priority");
+  obs::Counter& shed_deadline_ =
+      metrics_.counter("serve.admission.shed_deadline");
+  obs::Counter& completed_ = metrics_.counter("serve.completed");
+  obs::Counter& dispatches_ = metrics_.counter("serve.dispatches");
+  obs::Counter& steals_ = metrics_.counter("serve.shard.steals");
+  obs::Counter& stolen_requests_ =
+      metrics_.counter("serve.shard.stolen_requests");
+  obs::Counter& degraded_requests_ =
+      metrics_.counter("serve.resilience.degraded_requests");
+  obs::Counter& retried_ = metrics_.counter("serve.resilience.retried");
+  obs::Counter& retry_exhausted_ =
+      metrics_.counter("serve.resilience.retry_exhausted");
+  obs::Counter& hedges_armed_ =
+      metrics_.counter("serve.resilience.hedges_armed");
+  obs::Counter& hedges_launched_ = metrics_.counter("serve.resilience.hedges");
+  obs::Counter& hedge_wins_ = metrics_.counter("serve.resilience.hedge_wins");
+  obs::Counter& circuit_opens_ =
+      metrics_.counter("serve.resilience.circuit_opens");
+  obs::Counter& circuit_closes_ =
+      metrics_.counter("serve.resilience.circuit_closes");
+  obs::Counter& dispatcher_crashes_ =
+      metrics_.counter("serve.resilience.dispatcher_crashes");
+  obs::Gauge& queue_depth_ = metrics_.gauge("serve.queue_depth");
+  obs::Gauge& queue_depth_high_water_ =
+      metrics_.gauge("serve.queue_depth_high_water");
+  obs::Histogram& steal_batch_ = metrics_.histogram("serve.shard.steal_batch");
+  obs::Histogram& group_requests_ = metrics_.histogram("serve.group_requests");
+  obs::Histogram& coalesced_elems_ =
+      metrics_.histogram("serve.coalesced_elems");
+  obs::Histogram& dispatch_ns_ = metrics_.histogram("serve.dispatch_ns");
+  obs::Histogram& request_latency_ns_ =
+      metrics_.histogram("serve.request_latency_ns");
 };
 
 }  // namespace nacu::serve

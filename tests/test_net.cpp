@@ -21,7 +21,12 @@
 //  * graceful drain — shutdown() under live multi-connection load
 //    answers every request that reached the inference layer on the wire
 //    before closing (stats().requests_submitted == responses_written),
-//    which is the closed-loop gate bench_e2e enforces end-to-end.
+//    which is the closed-loop gate bench_e2e enforces end-to-end;
+//  * one set of books — stats() and counters() are snapshots of each
+//    server's own registry, so two stacks in one process never mix counts;
+//  * hostile payloads — a seeded mutation fuzzer pipelines byte-flipped,
+//    truncated and extended Submit, SubmitSoftmax and SubmitMlp frames
+//    and every one is answered, in order, on a connection that survives.
 // This binary runs under the CI e2e-smoke job (ASan/UBSan and TSan).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -32,7 +37,9 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +52,7 @@
 #include "nn/dataset.hpp"
 #include "nn/quantized_mlp.hpp"
 #include "nn/rng.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
 namespace nacu::net {
@@ -92,6 +100,26 @@ std::vector<std::int64_t> raws_of(const std::vector<fp::Fixed>& values) {
     raws.push_back(v.raw());
   }
   return raws;
+}
+
+/// A 2-input, 3-class MLP trained on blobs, for the hosted-model tests.
+nn::QuantizedMlp blob_mlp(const NacuConfig& config) {
+  nn::MlpConfig mlp_config;
+  mlp_config.layer_sizes = {2, 10, 3};
+  mlp_config.epochs = 30;
+  nn::Mlp reference{mlp_config};
+  reference.train(nn::make_blobs(30, 3));
+  return nn::QuantizedMlp{reference, config};
+}
+
+/// Whether @p json, a Registry::to_json dump, holds counter @p name at
+/// exactly @p value.
+bool has_count(const std::string& json, const std::string& name,
+               std::uint64_t value) {
+  const std::string entry = "\"" + name + "\": " + std::to_string(value);
+  const std::size_t at = json.find(entry);
+  return at != std::string::npos &&
+         (json[at + entry.size()] == ',' || json[at + entry.size()] == '\n');
 }
 
 /// Bound every blocking read on @p client, so a pipeline that stalls fails
@@ -303,6 +331,31 @@ TEST(Net, HostedMlpForwardPassMatchesDirectPredictProba) {
   }
 }
 
+TEST(Net, MlpInputOfTheWrongWidthGetsBadRequestAndTheConnectionKeepsServing) {
+  const NacuConfig config = config_for_bits(16);
+  const nn::QuantizedMlp model = blob_mlp(config);
+  serve::InferenceServer inference{config};
+  NetServerOptions net_options;
+  net_options.mlp = &model;
+  NetServer server{inference, net_options};
+  Client client{server.port()};
+  ASSERT_TRUE(client.valid());
+  // Too narrow once read a truncated dot product; too wide read past
+  // every weight row.
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4096}}) {
+    ASSERT_NE(client.send_mlp(std::vector<double>(width, 0.25)), 0u);
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "width " << width;
+    EXPECT_EQ(response->error, ErrorCode::kBadRequest) << "width " << width;
+  }
+  const std::vector<double> input{0.5, -0.25};
+  ASSERT_NE(client.send_mlp(input), 0u);
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_TRUE(response->ok()) << response->message;
+  EXPECT_EQ(response->doubles, model.predict_proba(input));
+}
+
 TEST(Net, MlpWithoutHostedModelAnswersUnsupported) {
   NetFixture fx;  // no mlp in NetServerOptions
   Client client{fx.server.port()};
@@ -327,6 +380,27 @@ TEST(Net, ExpiredDeadlineComesBackAsTypedErrorFrame) {
   const auto response = client.read_response();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->error, ErrorCode::kDeadlineExpired);
+}
+
+TEST(Net, FarFutureDeadlineMeansNoPracticalDeadline) {
+  NetFixture fx;
+  const BatchNacu direct{fx.config};
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  nn::Rng rng{13};
+  const std::vector<fp::Fixed> input = random_batch(rng, fx.config.format, 8);
+  WireSubmitOptions options;
+  options.deadline_ns = std::numeric_limits<std::int64_t>::max();
+  // Plain, then hedged at the far end of that deadline.
+  for (const double hedge_fraction : {0.0, 1.0}) {
+    options.hedge_fraction = hedge_fraction;
+    ASSERT_NE(client.send_submit(Function::Tanh, input, options), 0u);
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_TRUE(response->ok()) << response->message;
+    expect_bit_equal(response->values, direct.evaluate(Function::Tanh, input),
+                     "hedge_fraction " + std::to_string(hedge_fraction));
+  }
 }
 
 TEST(Net, SubmitAfterShutdownComesBackAsShutdownError) {
@@ -746,6 +820,217 @@ TEST(Net, OneSenderThreadAndOneReaderThreadMayShareAClient) {
   }
   sender.join();
   EXPECT_EQ(answered, kRequests);
+}
+
+// -- one set of books --------------------------------------------------------
+
+TEST(Net, TwoStacksInOneProcessKeepSeparateBooks) {
+  NetFixture first;
+  NetFixture second;
+  nn::Rng rng{17};
+  {
+    Client client{first.server.port()};
+    ASSERT_TRUE(client.valid());
+    for (int i = 0; i < 3; ++i) {
+      (void)client.call(Function::Sigmoid,
+                        random_batch(rng, first.config.format, 4));
+    }
+  }
+  {
+    Client client{second.server.port()};
+    ASSERT_TRUE(client.valid());
+    for (int i = 0; i < 5; ++i) {
+      (void)client.call(Function::Exp,
+                        random_batch(rng, second.config.format, 4));
+    }
+    ByteWriter w;  // well framed, unknown opcode: an immediate error
+    w.u8(0x7F);
+    w.u64(99);
+    const std::vector<std::uint8_t> frame = finish_frame(w.take());
+    ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
+    ASSERT_TRUE(client.read_response().has_value());
+  }
+  first.server.shutdown();
+  second.server.shutdown();
+
+  const auto check = [](NetFixture& fx, std::uint64_t good,
+                        std::uint64_t bad, const std::string& tag) {
+    const serve::InferenceServer::Counters counters = fx.inference.counters();
+    EXPECT_EQ(counters.accepted, good) << tag;
+    EXPECT_EQ(counters.completed, good) << tag;
+    const NetServer::Stats stats = fx.server.stats();
+    EXPECT_EQ(stats.connections, 1u) << tag;
+    EXPECT_EQ(stats.frames_read, good + bad) << tag;
+    EXPECT_EQ(stats.requests_submitted, good) << tag;
+    EXPECT_EQ(stats.responses_written, good) << tag;
+    EXPECT_EQ(stats.immediate_errors, bad) << tag;
+    const std::string serve_json = fx.inference.metrics().to_json();
+    EXPECT_TRUE(has_count(serve_json, "serve.accepted", good)) << serve_json;
+    EXPECT_TRUE(has_count(serve_json, "serve.completed", good)) << serve_json;
+    const std::string net_json = fx.server.metrics().to_json();
+    EXPECT_TRUE(has_count(net_json, "net.frames_read", good + bad))
+        << net_json;
+    EXPECT_TRUE(has_count(net_json, "net.immediate_errors", bad)) << net_json;
+  };
+  check(first, 3, 0, "first stack");
+  check(second, 5, 1, "second stack");
+}
+
+TEST(Net, RegistryAndStatsAgreeOverGoodAndBadFrames) {
+  NetFixture fx;
+  const BatchNacu direct{fx.config};
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  nn::Rng rng{19};
+  // Pipelined on one connection: a good submit, then a framed payload
+  // that is bad in a different way, ten times over.
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::vector<fp::Fixed>> inputs;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    inputs.push_back(random_batch(rng, fx.config.format, 3));
+    std::vector<std::uint8_t> good = encode_submit(
+        2 * i + 1, static_cast<std::uint8_t>(Function::Sigmoid),
+        raws_of(inputs.back()), {});
+    std::vector<std::int64_t> raws{fx.config.format.max_raw() + 1};
+    std::vector<std::uint8_t> bad =
+        i % 2 == 0 ? encode_submit(2 * i + 2, 0, raws, {})  // out of format
+                   : encode_submit(2 * i + 2, BatchNacu::kFunctionCount,
+                                   raws_of(inputs.back()), {});
+    bytes.insert(bytes.end(), good.begin(), good.end());
+    bytes.insert(bytes.end(), bad.begin(), bad.end());
+  }
+  ASSERT_TRUE(client.socket().send_all(bytes.data(), bytes.size()));
+  for (std::size_t i = 0; i < 2 * inputs.size(); ++i) {
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    ASSERT_EQ(response->id, i + 1);
+    if (i % 2 == 0) {
+      ASSERT_TRUE(response->ok()) << response->message;
+      expect_bit_equal(response->values,
+                       direct.evaluate(Function::Sigmoid, inputs[i / 2]),
+                       "good frame " + std::to_string(i));
+    } else {
+      EXPECT_EQ(response->error, ErrorCode::kBadRequest) << "frame " << i;
+    }
+  }
+  fx.server.shutdown();
+  const NetServer::Stats stats = fx.server.stats();
+  obs::Registry& metrics = fx.server.metrics();
+  EXPECT_EQ(metrics.counter("net.connections").value(), stats.connections);
+  EXPECT_EQ(metrics.counter("net.frames_read").value(), stats.frames_read);
+  EXPECT_EQ(metrics.counter("net.requests_submitted").value(),
+            stats.requests_submitted);
+  EXPECT_EQ(metrics.counter("net.responses_written").value(),
+            stats.responses_written);
+  EXPECT_EQ(metrics.counter("net.immediate_errors").value(),
+            stats.immediate_errors);
+  EXPECT_EQ(metrics.counter("net.protocol_errors").value(),
+            stats.protocol_errors);
+  EXPECT_EQ(metrics.counter("net.write_failures").value(),
+            stats.write_failures);
+  // Error frames answer no future, so they are not responses_written.
+  EXPECT_EQ(stats.requests_submitted, 10u);
+  EXPECT_EQ(stats.immediate_errors, 10u);
+  EXPECT_EQ(stats.responses_written, stats.requests_submitted);
+}
+
+// -- seeded mutation fuzzing of nacu-wire decode ------------------------------
+
+/// The id a response to @p payload must echo: the u64 after the opcode, or
+/// 0 when the payload is too short to carry one.
+std::uint64_t echoed_id(std::span<const std::uint8_t> payload) {
+  ByteReader r{payload};
+  (void)r.u8();
+  return r.u64().value_or(0);
+}
+
+TEST(Net, SeededWireMutantsAreEachAnsweredInOrderOnOneConnection) {
+  const NacuConfig config = config_for_bits(16);
+  const nn::QuantizedMlp model = blob_mlp(config);
+  serve::InferenceServer inference{config};
+  NetServerOptions net_options;
+  net_options.mlp = &model;
+  NetServer server{inference, net_options};
+  const BatchNacu direct{config};
+  Client client{server.port()};
+  ASSERT_TRUE(client.valid());
+  set_receive_timeout(client, std::chrono::seconds{30});
+
+  // Valid payloads, length prefix stripped, one per submit opcode; one
+  // carries a deadline so flips in that field reach deadline resolution.
+  nn::Rng rng{0x5EED};
+  const auto payload = [](std::vector<std::uint8_t> frame) {
+    frame.erase(frame.begin(), frame.begin() + kLengthPrefixBytes);
+    return frame;
+  };
+  WireSubmitOptions with_deadline;
+  with_deadline.deadline_ns = 1'000'000'000;
+  const std::vector<std::vector<std::uint8_t>> seeds{
+      payload(encode_submit(1, static_cast<std::uint8_t>(Function::Sigmoid),
+                            raws_of(random_batch(rng, config.format, 6)),
+                            {})),
+      payload(encode_submit(2, static_cast<std::uint8_t>(Function::Tanh),
+                            raws_of(random_batch(rng, config.format, 3)),
+                            with_deadline)),
+      payload(encode_submit_softmax(
+          3, raws_of(random_batch(rng, config.format, 5)), {})),
+      payload(encode_submit_mlp(4, std::vector<double>{0.5, -0.25}, {}))};
+
+  // Byte flips, truncations (never below the opcode, so no length prefix
+  // is zero) and appended bytes; each mutant is re-framed with its own
+  // length, so the stream's framing stays intact throughout.
+  constexpr std::size_t kMutants = 2000;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t m = 0; m < kMutants; ++m) {
+    std::vector<std::uint8_t> p = seeds[m % seeds.size()];
+    switch (rng.below(3)) {
+      case 0:
+        for (std::uint64_t flips = 1 + rng.below(4); flips > 0; --flips) {
+          p[rng.below(p.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.below(255));
+        }
+        break;
+      case 1:
+        p.resize(1 + rng.below(p.size() - 1));
+        break;
+      default:
+        for (std::uint64_t extra = 1 + rng.below(16); extra > 0; --extra) {
+          p.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        }
+        break;
+    }
+    ids.push_back(echoed_id(p));
+    const std::vector<std::uint8_t> frame = finish_frame(std::move(p));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client.socket().send_all(bytes.data(), bytes.size()));
+
+  std::size_t answered_ok = 0;
+  std::size_t bad_requests = 0;
+  for (std::size_t m = 0; m < kMutants; ++m) {
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "mutant " << m;
+    ASSERT_EQ(response->id, ids[m]) << "mutant " << m;
+    answered_ok += response->ok() ? 1 : 0;
+    bad_requests += response->error == ErrorCode::kBadRequest ? 1 : 0;
+  }
+  // The mix reached both the serving layer and the payload checks.
+  EXPECT_GT(answered_ok, 0u);
+  EXPECT_GT(bad_requests, 0u);
+  // And the connection still serves a good request, bit for bit.
+  const std::vector<fp::Fixed> input = random_batch(rng, config.format, 16);
+  expect_bit_equal(client.call(Function::Exp, input),
+                   direct.evaluate(Function::Exp, input), "after the mutants");
+
+  server.shutdown();
+  const NetServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.frames_read, kMutants + 1);
+  EXPECT_EQ(stats.frames_read,
+            stats.requests_submitted + stats.immediate_errors);
+  const serve::InferenceServer::Counters counters = inference.counters();
+  EXPECT_EQ(counters.accepted, counters.completed);
 }
 
 }  // namespace

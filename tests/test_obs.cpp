@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -74,7 +75,8 @@ TEST_F(ObsMetrics, DisabledMetricsAreNoOps) {
   {
     const ScopedTimer timer{h};
   }
-  EXPECT_EQ(c.value(), 0u);
+  // Counters always count — they are the serving layer's exact books.
+  EXPECT_EQ(c.value(), 7u);
   EXPECT_EQ(g.value(), 0);
   EXPECT_EQ(h.snapshot().count, 0u);
 }
@@ -133,6 +135,27 @@ TEST_F(ObsMetrics, HistogramMergesAcrossThreads) {
                           (kPerThread + 1) / 2);
   EXPECT_EQ(snap.min, 1u);
   EXPECT_EQ(snap.max, static_cast<std::uint64_t>(kPerThread));
+}
+
+TEST_F(ObsMetrics, DestroyedRegistryNeverHandsAThreadItsShard) {
+  // One thread records into a histogram, its registry dies, and the same
+  // thread records into a new registry's histogram — which the allocator
+  // may place where the old one lived. The thread's shard cache must not
+  // hand the new histogram the freed shard.
+  std::vector<std::uint64_t> counts;
+  std::thread{[&counts] {
+    auto old_registry = std::make_unique<Registry>();
+    old_registry->histogram("test.hist.owned").record(5);
+    for (int round = 0; round < 8; ++round) {
+      old_registry.reset();
+      auto new_registry = std::make_unique<Registry>();
+      Histogram& h = new_registry->histogram("test.hist.owned");
+      h.record(7);
+      counts.push_back(h.snapshot().count);
+      old_registry = std::move(new_registry);
+    }
+  }}.join();
+  EXPECT_EQ(counts, std::vector<std::uint64_t>(8, 1));
 }
 
 TEST_F(ObsMetrics, ToJsonIsWellFormedAndComplete) {

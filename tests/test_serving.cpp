@@ -773,35 +773,33 @@ TEST(Serving, ShutdownRacesBurstyUnbalancedSubmittersAcrossShards) {
 
 TEST(Serving, ServingMetricsArePopulated) {
   obs::set_metrics_enabled(true);
-  obs::registry().reset_all();
-  {
-    const NacuConfig config = config_for_bits(16);
-    ServerOptions options;
-    options.batcher.max_batch = 4;
-    options.batcher.max_wait = std::chrono::microseconds{100};
-    InferenceServer server{config, options};
-    const std::vector<fp::Fixed> input(
-        8, fp::Fixed::from_double(-0.5, config.format));
-    std::vector<std::future<std::vector<fp::Fixed>>> futures;
-    for (int i = 0; i < 12; ++i) {
-      futures.push_back(server.submit(Function::Sigmoid, input));
-    }
-    for (auto& future : futures) {
-      (void)future.get();
-    }
-    server.shutdown();
+  const NacuConfig config = config_for_bits(16);
+  ServerOptions options;
+  options.batcher.max_batch = 4;
+  options.batcher.max_wait = std::chrono::microseconds{100};
+  InferenceServer server{config, options};
+  const std::vector<fp::Fixed> input(
+      8, fp::Fixed::from_double(-0.5, config.format));
+  std::vector<std::future<std::vector<fp::Fixed>>> futures;
+  for (int i = 0; i < 12; ++i) {
+    futures.push_back(server.submit(Function::Sigmoid, input));
   }
-  EXPECT_EQ(obs::counter("serve.accepted").value(), 12u);
-  EXPECT_EQ(obs::counter("serve.completed").value(), 12u);
-  EXPECT_GE(obs::gauge("serve.queue_depth_high_water").value(), 1);
+  for (auto& future : futures) {
+    (void)future.get();
+  }
+  server.shutdown();
+  // The server's own registry, so nothing else in the process can leak in.
+  obs::Registry& metrics = server.metrics();
+  EXPECT_EQ(metrics.counter("serve.accepted").value(), 12u);
+  EXPECT_EQ(metrics.counter("serve.completed").value(), 12u);
+  EXPECT_GE(metrics.gauge("serve.queue_depth_high_water").value(), 1);
   const obs::Histogram::Snapshot latency =
-      obs::histogram("serve.request_latency_ns").snapshot();
+      metrics.histogram("serve.request_latency_ns").snapshot();
   EXPECT_EQ(latency.count, 12u);
   EXPECT_GT(latency.quantile_bound(0.99), 0u);
   const obs::Histogram::Snapshot groups =
-      obs::histogram("serve.group_requests").snapshot();
+      metrics.histogram("serve.group_requests").snapshot();
   EXPECT_GE(groups.count, 3u);  // 12 requests in groups of <= 4
-  obs::registry().reset_all();
   obs::set_metrics_enabled(false);
 }
 
