@@ -27,7 +27,9 @@ Client::Client(std::uint16_t port) : socket_{connect_loopback(port)} {
 }
 
 std::uint64_t Client::send(const std::vector<std::uint8_t>& frame) {
-  if (!valid_) {
+  // A frame past kMaxFrameBytes would break the stream for the server's
+  // reader and lose every request after it: refuse it here instead.
+  if (!valid_ || frame.size() > kLengthPrefixBytes + kMaxFrameBytes) {
     return 0;
   }
   const std::lock_guard<std::mutex> lock{held_mutex_};
@@ -59,23 +61,13 @@ void Client::close_send() {
 std::uint64_t Client::send_submit(core::BatchNacu::Function function,
                                   std::span<const fp::Fixed> input,
                                   const WireSubmitOptions& options) {
-  std::vector<std::int64_t> raws;
-  raws.reserve(input.size());
-  for (const fp::Fixed& v : input) {
-    raws.push_back(v.raw());
-  }
   return send(encode_submit(next_id_, static_cast<std::uint8_t>(function),
-                            raws, options));
+                            input, options));
 }
 
 std::uint64_t Client::send_softmax(std::span<const fp::Fixed> logits,
                                    const WireSubmitOptions& options) {
-  std::vector<std::int64_t> raws;
-  raws.reserve(logits.size());
-  for (const fp::Fixed& v : logits) {
-    raws.push_back(v.raw());
-  }
-  return send(encode_submit_softmax(next_id_, raws, options));
+  return send(encode_submit_softmax(next_id_, logits, options));
 }
 
 std::uint64_t Client::send_mlp(std::span<const double> input,
@@ -111,18 +103,11 @@ std::optional<Client::Response> Client::read_response() {
   response.id = *id;
   switch (static_cast<Opcode>(*opcode)) {
     case Opcode::kResultFixed: {
-      const auto count = r.u32();
-      if (!count) {
+      std::optional<std::vector<fp::Fixed>> values = decode_raws(r, format_);
+      if (!values) {
         return std::nullopt;
       }
-      response.values.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        const auto raw = r.i64();
-        if (!raw) {
-          return std::nullopt;
-        }
-        response.values.push_back(fp::Fixed::from_raw(*raw, format_));
-      }
+      response.values = std::move(*values);
       return response;
     }
     case Opcode::kResultF64: {
@@ -143,14 +128,12 @@ std::optional<Client::Response> Client::read_response() {
     case Opcode::kError: {
       const auto code = r.u8();
       const auto length = r.u16();
-      if (!code || !length || r.remaining() < *length) {
+      const auto text = length ? r.bytes(*length) : std::nullopt;
+      if (!code || !text) {
         return std::nullopt;
       }
       response.error = static_cast<ErrorCode>(*code);
-      response.message.assign(
-          reinterpret_cast<const char*>(frame.payload.data() +
-                                        (frame.payload.size() - r.remaining())),
-          *length);
+      response.message.assign(text->begin(), text->end());
       return response;
     }
     default:

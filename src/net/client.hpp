@@ -49,7 +49,10 @@ class Client {
   [[nodiscard]] fp::Format format() const noexcept { return format_; }
 
   /// Pipeline one request; returns its id (sequential from 1), or 0 when
-  /// the send failed (connection gone).
+  /// it was not sent: the connection is gone, or the frame would be
+  /// longer than kMaxFrameBytes (about 512 Ki elements when every raw fits
+  /// an int16, 128 Ki otherwise). A request not sent uses up no id, and
+  /// the connection keeps serving after a too-long one.
   [[nodiscard]] std::uint64_t send_submit(core::BatchNacu::Function function,
                                           std::span<const fp::Fixed> input,
                                           const WireSubmitOptions& options = {});
@@ -69,7 +72,8 @@ class Client {
   };
   /// Next response, from the buffer or else off the wire — blocking, after
   /// sending the held frames; nullopt once the server has closed (or the
-  /// stream broke).
+  /// stream broke). Throws std::out_of_range when a ResultFixed raw lies
+  /// outside format(); that response is consumed.
   [[nodiscard]] std::optional<Response> read_response();
 
   /// One synchronous activation round trip; throws std::runtime_error on

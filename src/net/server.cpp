@@ -243,11 +243,6 @@ NetServer::Pending NetServer::handle_frame(
   if (wire_options->priority >= serve::kPriorityCount) {
     return bad("unknown priority class");
   }
-  const auto count = r.u32();
-  if (!count || r.remaining() != std::size_t{*count} * 8) {
-    return bad("element count does not match frame length");
-  }
-
   serve::SubmitOptions submit_options;
   submit_options.priority = static_cast<serve::Priority>(wire_options->priority);
   submit_options.tenant = wire_options->tenant;
@@ -263,24 +258,27 @@ NetServer::Pending NetServer::handle_frame(
     switch (op) {
       case Opcode::kSubmit:
       case Opcode::kSubmitSoftmax: {
-        const fp::Format format = inference_.engine().config().format;
-        std::vector<fp::Fixed> input;
-        input.reserve(*count);
-        for (std::uint32_t i = 0; i < *count; ++i) {
-          // from_raw throws out_of_range on a raw outside the format —
-          // classified below as kBadRequest, connection keeps serving.
-          input.push_back(fp::Fixed::from_raw(*r.i64(), format));
+        // decode_raws throws out_of_range on a raw outside the format —
+        // classified below as kBadRequest, connection keeps serving.
+        std::optional<std::vector<fp::Fixed>> input =
+            decode_raws(r, inference_.engine().config().format);
+        if (!input) {
+          return bad("element width or count does not match frame length");
         }
         auto future =
             op == Opcode::kSubmit
                 ? inference_.submit(
                       static_cast<core::BatchNacu::Function>(function),
-                      std::move(input), submit_options)
-                : inference_.submit_softmax(std::move(input), submit_options);
+                      std::move(*input), submit_options)
+                : inference_.submit_softmax(std::move(*input), submit_options);
         requests_submitted_.add();
         return PendingFixed{*id, std::move(future)};
       }
       case Opcode::kSubmitMlp: {
+        const auto count = r.u32();
+        if (!count || r.remaining() != std::size_t{*count} * 8) {
+          return bad("element count does not match frame length");
+        }
         if (options_.mlp == nullptr) {
           immediate_errors_.add();
           return PendingError{*id, ErrorCode::kUnsupported,
@@ -325,8 +323,7 @@ bool NetServer::ready(const Pending& pending) {
       pending);
 }
 
-std::vector<std::uint8_t> NetServer::encode_response(
-    Pending& pending, std::vector<std::int64_t>& raws) {
+std::vector<std::uint8_t> NetServer::encode_response(Pending& pending) {
   if (const auto* error = std::get_if<PendingError>(&pending)) {
     return encode_error(error->id, error->code, error->message);
   }
@@ -334,13 +331,16 @@ std::vector<std::uint8_t> NetServer::encode_response(
                                       pending);
   try {
     if (auto* fixed = std::get_if<PendingFixed>(&pending)) {
-      const std::vector<fp::Fixed> result = fixed->future.get();
-      raws.clear();
-      raws.reserve(result.size());
-      for (const fp::Fixed& v : result) {
-        raws.push_back(v.raw());
+      std::vector<std::uint8_t> frame =
+          encode_result_fixed(id, fixed->future.get());
+      // Raws that fit an int16 can come back wider on a datapath of more
+      // than 16 bits; a result that outgrows one frame would break the
+      // client's stream.
+      if (frame.size() > kLengthPrefixBytes + kMaxFrameBytes) {
+        return encode_error(id, ErrorCode::kBadRequest,
+                            "result exceeds one frame; split the request");
       }
-      return encode_result_fixed(id, raws);
+      return frame;
     }
     return encode_result_f64(id, std::get<PendingF64>(pending).future.get());
   } catch (...) {
@@ -356,7 +356,6 @@ void NetServer::writer_loop(Connection& conn) {
   std::vector<std::uint8_t> out;   // encoded frames not yet sent
   std::uint64_t held_frames = 0;   // frames in out
   std::uint64_t held_answers = 0;  // of those, the ones answering a future
-  std::vector<std::int64_t> raws;
   // One send for everything held. write_failed is writer-private state; no
   // lock — and no lock held across the (potentially blocking) send.
   const auto flush = [&] {
@@ -392,7 +391,7 @@ void NetServer::writer_loop(Connection& conn) {
       if (!ready(pending)) {
         flush();  // a finished response never waits behind this one
       }
-      const std::vector<std::uint8_t> frame = encode_response(pending, raws);
+      const std::vector<std::uint8_t> frame = encode_response(pending);
       out.insert(out.end(), frame.begin(), frame.end());
       ++held_frames;
       held_answers += std::holds_alternative<PendingError>(pending) ? 0 : 1;

@@ -159,7 +159,7 @@ class NetServer {
   [[nodiscard]] static bool ready(const Pending& pending);
   /// The frame answering @p pending, waiting on its future if it has one.
   [[nodiscard]] static std::vector<std::uint8_t> encode_response(
-      Pending& pending, std::vector<std::int64_t>& raws);
+      Pending& pending);
   /// Join and erase connections whose threads have both exited.
   void reap_connections(bool all);
 

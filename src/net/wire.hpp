@@ -27,8 +27,8 @@
 //
 //   Hello (server → client, once, immediately after accept):
 //     u8  opcode = kHello
-//     u8  protocol version (kProtocolVersion)
-//     u8  format integer bits   ┐ the server's datapath grid — raw i64
+//     u8  protocol version (kProtocolVersion = 2: "nacu-wire v2")
+//     u8  format integer bits   ┐ the server's datapath grid — raw
 //     u8  format fractional bits┘ values on the wire live on it
 //     u8  function count (how many Function values submits may carry)
 //
@@ -37,8 +37,20 @@
 //     u64 request id
 //     u8  function (kSubmit only; BatchNacu::Function index)
 //     SubmitOptions block (below)
+//     raw body (below)
+//
+//   Raw body (Submit, SubmitSoftmax and ResultFixed):
+//     u8  element width: 2 (int16 raws) or 8 (int64 raws)
 //     u32 element count
-//     i64 × count    raw fixed-point values on the server's format grid
+//     raw × count    fixed-point raws on the server's format grid, at
+//                    the declared width, ending the payload
+//     The encoder picks width 2 whenever every raw of the body fits an
+//     int16 — always, on a datapath of at most 16 bits such as the
+//     paper's Q4.11 — and width 8 otherwise. The decoder checks the width
+//     and that count × width is exactly the rest of the payload, then
+//     range-checks the raws against the format once per body. One
+//     kMaxFrameBytes frame holds about 512 Ki elements at width 2 and
+//     128 Ki at width 8.
 //
 //   SubmitMlp (client → server; hosted-model forward pass):
 //     u8  opcode = kSubmitMlp
@@ -58,11 +70,16 @@
 //         at the moment it parses the frame.
 //     f64 hedge fraction
 //
-//   ResultFixed / ResultF64 (server → client):
-//     u8  opcode = kResultFixed | kResultF64
+//   ResultFixed (server → client):
+//     u8  opcode = kResultFixed
+//     u64 request id
+//     raw body (above)
+//
+//   ResultF64 (server → client):
+//     u8  opcode = kResultF64
 //     u64 request id
 //     u32 element count
-//     i64 × count raw values   |   f64 × count doubles
+//     f64 × count doubles
 //
 //   Error (server → client):
 //     u8  opcode = kError
@@ -75,9 +92,10 @@
 // *stream framing* is broken — zero/oversized length prefix, or EOF mid
 // frame — kills the connection (the stream cannot be resynchronised); a
 // frame whose *payload* is broken but whose id parsed — unknown opcode,
-// truncated body, out-of-format raw value — is answered with a
-// kBadRequest error frame and the connection keeps serving. Either way
-// the server never crashes and never leaks a pending promise.
+// truncated body, element width other than 2 or 8, out-of-format raw
+// value — is answered with a kBadRequest error frame and the connection
+// keeps serving. Either way the server never crashes and never leaks a
+// pending promise.
 #pragma once
 
 #include <cstdint>
@@ -87,14 +105,20 @@
 #include <string>
 #include <vector>
 
+#include "fixedpoint/fixed.hpp"
+
 namespace nacu::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 /// Hard per-frame payload bound: large enough for any realistic batch
-/// (128 Ki elements), small enough that a corrupt length prefix cannot
-/// make the reader allocate unbounded memory.
+/// (about 512 Ki elements at width 2, 128 Ki at width 8), small enough
+/// that a corrupt length prefix cannot make the reader allocate unbounded
+/// memory.
 inline constexpr std::size_t kMaxFrameBytes = 1u << 20;
 inline constexpr std::size_t kLengthPrefixBytes = 4;
+/// The element widths a raw body may declare.
+inline constexpr std::uint8_t kNarrowElementBytes = 2;  ///< int16 raws
+inline constexpr std::uint8_t kWideElementBytes = 8;    ///< int64 raws
 
 enum class Opcode : std::uint8_t {
   kSubmit = 0x01,         ///< element-wise activation batch
@@ -136,10 +160,10 @@ struct WireSubmitOptions {
 
 // -- byte-level encode/decode ------------------------------------------------
 
-/// Append-only little-endian byte writer. Frames are built payload-first,
-/// then prefixed with their length by finish_frame.
+/// Append-only little-endian byte writer.
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { bytes_.reserve(n); }
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u16(std::uint16_t v) { append(&v, 2); }
   void u32(std::uint32_t v) { append(&v, 4); }
@@ -151,6 +175,13 @@ class ByteWriter {
     u64(bits);
   }
   void raw(const void* data, std::size_t n) { append(data, n); }
+  /// Grow by @p n bytes and return where they start, for a caller that
+  /// fills them in one loop.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    return bytes_.data() + at;
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return bytes_;
@@ -199,6 +230,16 @@ class ByteReader {
     std::memcpy(&v, &*bits, 8);
     return v;
   }
+  /// The next @p n bytes, in place.
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes(
+      std::size_t n) {
+    if (n > remaining()) {
+      return std::nullopt;
+    }
+    const std::span<const std::uint8_t> view = bytes_.subspan(pos_, n);
+    pos_ += n;
+    return view;
+  }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return bytes_.size() - pos_;
   }
@@ -221,7 +262,8 @@ class ByteReader {
 
 // -- frame builders (payload + length prefix in one buffer) ------------------
 
-/// Wrap @p payload in its u32 length prefix, ready for one send call.
+/// Wrap a hand-built @p payload in its u32 length prefix, ready for one
+/// send call. The encode_* functions below build whole frames themselves.
 [[nodiscard]] std::vector<std::uint8_t> finish_frame(
     std::vector<std::uint8_t> payload);
 
@@ -232,21 +274,38 @@ void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(int integer_bits,
                                                      int fractional_bits,
                                                      std::uint8_t functions);
+// The raw-body encoders take raws as int64 or as fp::Fixed values; both
+// emit the same bytes for the same raws.
 [[nodiscard]] std::vector<std::uint8_t> encode_submit(
     std::uint64_t id, std::uint8_t function,
     std::span<const std::int64_t> raws, const WireSubmitOptions& options);
+[[nodiscard]] std::vector<std::uint8_t> encode_submit(
+    std::uint64_t id, std::uint8_t function,
+    std::span<const fp::Fixed> values, const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_softmax(
     std::uint64_t id, std::span<const std::int64_t> raws,
+    const WireSubmitOptions& options);
+[[nodiscard]] std::vector<std::uint8_t> encode_submit_softmax(
+    std::uint64_t id, std::span<const fp::Fixed> values,
     const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_mlp(
     std::uint64_t id, std::span<const double> input,
     const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_result_fixed(
     std::uint64_t id, std::span<const std::int64_t> raws);
+[[nodiscard]] std::vector<std::uint8_t> encode_result_fixed(
+    std::uint64_t id, std::span<const fp::Fixed> values);
 [[nodiscard]] std::vector<std::uint8_t> encode_result_f64(
     std::uint64_t id, std::span<const double> values);
 [[nodiscard]] std::vector<std::uint8_t> encode_error(std::uint64_t id,
                                                      ErrorCode code,
                                                      std::string_view message);
+
+/// Read the raw body that ends a Submit, SubmitSoftmax or ResultFixed
+/// payload onto @p format's grid. nullopt when the element width is not 2
+/// or 8, or the count disagrees with the bytes left; throws
+/// std::out_of_range when a raw lies outside @p format.
+[[nodiscard]] std::optional<std::vector<fp::Fixed>> decode_raws(
+    ByteReader& r, fp::Format format);
 
 }  // namespace nacu::net

@@ -26,7 +26,12 @@
 //    server's own registry, so two stacks in one process never mix counts;
 //  * hostile payloads — a seeded mutation fuzzer pipelines byte-flipped,
 //    truncated and extended Submit, SubmitSoftmax and SubmitMlp frames
-//    and every one is answered, in order, on a connection that survives.
+//    and every one is answered, in order, on a connection that survives;
+//  * nacu-wire v2 raw bodies — a Q4.11 element costs 2 wire bytes, one
+//    raw outside int16 widens its body to 8, both widths decode to the
+//    same raws, every cut point decodes as a bad length, an unknown width
+//    is kBadRequest, and a frame past kMaxFrameBytes is refused by the
+//    Client rather than sent.
 // This binary runs under the CI e2e-smoke job (ASan/UBSan and TSan).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -40,8 +45,10 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch_nacu.hpp"
@@ -187,6 +194,113 @@ TEST(Wire, FramePrefixIsLittleEndianPayloadLength) {
   EXPECT_EQ(frame[2], 0);
   EXPECT_EQ(frame[3], 0);
   EXPECT_EQ(frame[4], 0x42);
+}
+
+// -- nacu-wire v2 raw bodies -------------------------------------------------
+
+/// The payload bytes after the opcode and request id of @p frame, a
+/// ResultFixed frame: its raw body.
+std::vector<std::uint8_t> result_body(const std::vector<std::uint8_t>& frame) {
+  return {frame.begin() + kLengthPrefixBytes + 1 + 8, frame.end()};
+}
+
+std::vector<std::int64_t> raws_decoded(std::span<const std::uint8_t> body,
+                                       const fp::Format& format) {
+  ByteReader r{body};
+  const auto values = decode_raws(r, format);
+  EXPECT_TRUE(values.has_value());
+  EXPECT_TRUE(r.exhausted());
+  return values ? raws_of(*values) : std::vector<std::int64_t>{};
+}
+
+TEST(Wire, Q411BodiesCostTwoBytesPerElement) {
+  const fp::Format q4_11{4, 11};
+  nn::Rng rng{61};
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{1024}}) {
+    std::vector<std::int64_t> raws = raws_of(random_batch(rng, q4_11, n));
+    if (n >= 2) {
+      raws[0] = q4_11.min_raw();
+      raws[1] = q4_11.max_raw();
+    }
+    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 49 + 2 * n) << n;
+    EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(), 48 + 2 * n) << n;
+    EXPECT_EQ(encode_result_fixed(1, raws).size(), 18 + 2 * n) << n;
+  }
+}
+
+TEST(Wire, OneRawOutsideInt16WidensTheWholeBody) {
+  for (const std::int64_t outside : {std::int64_t{32768}, std::int64_t{-32769},
+                                     std::int64_t{1} << 40}) {
+    std::vector<std::int64_t> raws(9, -5);
+    raws[4] = outside;
+    const std::vector<std::uint8_t> result = encode_result_fixed(1, raws);
+    EXPECT_EQ(result.size(), 18 + 8 * raws.size()) << outside;
+    EXPECT_EQ(result[kLengthPrefixBytes + 9], kWideElementBytes) << outside;
+    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 49 + 8 * raws.size());
+    EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(),
+              48 + 8 * raws.size());
+  }
+}
+
+TEST(Wire, Int64AndFixedEncodersEmitIdenticalBytes) {
+  const fp::Format wide = config_for_bits(20).format;
+  nn::Rng rng{67};
+  WireSubmitOptions options;
+  options.deadline_ns = 12345;
+  for (const fp::Format& format : {fp::Format{4, 11}, wide}) {
+    const std::vector<fp::Fixed> values = random_batch(rng, format, 300);
+    const std::vector<std::int64_t> raws = raws_of(values);
+    EXPECT_EQ(encode_submit(7, 2, raws, options),
+              encode_submit(7, 2, values, options));
+    EXPECT_EQ(encode_submit_softmax(8, raws, options),
+              encode_submit_softmax(8, values, options));
+    EXPECT_EQ(encode_result_fixed(9, raws), encode_result_fixed(9, values));
+  }
+}
+
+TEST(Wire, BothWidthsDecodeBackToTheSameRaws) {
+  nn::Rng rng{71};
+  for (const fp::Format& format :
+       {fp::Format{4, 11}, config_for_bits(20).format}) {
+    const std::vector<std::int64_t> raws =
+        raws_of(random_batch(rng, format, 500));
+    const std::vector<std::uint8_t> body =
+        result_body(encode_result_fixed(1, raws));
+    EXPECT_EQ(body[0], format.width() <= 16 ? kNarrowElementBytes
+                                            : kWideElementBytes);
+    EXPECT_EQ(raws_decoded(body, format), raws) << format.to_string();
+  }
+}
+
+TEST(Wire, EveryCutOfANarrowBodyDecodesAsABadLength) {
+  const fp::Format q4_11{4, 11};
+  nn::Rng rng{73};
+  const std::vector<std::uint8_t> body = result_body(
+      encode_result_fixed(1, raws_of(random_batch(rng, q4_11, 16))));
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    // A copy of exactly the cut bytes, so reading past it is an ASan
+    // finding rather than a read of the rest of the body.
+    const std::vector<std::uint8_t> part(body.begin(), body.begin() + cut);
+    ByteReader r{part};
+    EXPECT_FALSE(decode_raws(r, q4_11).has_value()) << "cut at " << cut;
+  }
+  std::vector<std::uint8_t> longer = body;
+  longer.push_back(0);
+  ByteReader r{longer};
+  EXPECT_FALSE(decode_raws(r, q4_11).has_value());
+}
+
+TEST(Wire, ARawOutsideTheFormatThrowsOutOfRange) {
+  const fp::Format q3_8{3, 8};  // 12 bits: raws in [-2048, 2047]
+  for (const std::int64_t outside : {std::int64_t{2048}, std::int64_t{-2049},
+                                     std::int64_t{1} << 40}) {
+    const std::vector<std::int64_t> raws{0, outside, 5};
+    const std::vector<std::uint8_t> body =
+        result_body(encode_result_fixed(1, raws));
+    ByteReader r{body};
+    EXPECT_THROW((void)decode_raws(r, q3_8), std::out_of_range) << outside;
+  }
 }
 
 // -- fixture: one inference server + one net server -------------------------
@@ -541,6 +655,7 @@ TEST(Net, TruncatedBodyAndBadValuesGetBadRequestNotACrash) {
     w.u64(2);
     w.u8(0);
     encode_submit_options(w, {});
+    w.u8(kWideElementBytes);
     w.u32(100);  // promises 100 elements, delivers 1
     w.i64(0);
     const std::vector<std::uint8_t> frame = finish_frame(w.take());
@@ -573,6 +688,159 @@ TEST(Net, TruncatedBodyAndBadValuesGetBadRequestNotACrash) {
   // And the connection still serves after all four.
   const std::vector<fp::Fixed> input{fp::Fixed::zero(client.format())};
   EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
+}
+
+TEST(Net, ElementWidthOtherThanTwoOrEightGetsBadRequest) {
+  NetFixture fx;
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  std::uint64_t id = 100;
+  for (const std::uint8_t width : {0, 3, 255}) {
+    // One element's worth of bytes at the declared width, so only the
+    // width itself is wrong (a width of 0 even makes count × width match).
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(Opcode::kSubmit));
+    w.u64(++id);
+    w.u8(0);
+    encode_submit_options(w, {});
+    w.u8(width);
+    w.u32(1);
+    for (std::uint8_t i = 0; i < width; ++i) {
+      w.u8(0);
+    }
+    const std::vector<std::uint8_t> frame = finish_frame(w.take());
+    ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "width " << int{width};
+    EXPECT_EQ(response->id, id);
+    EXPECT_EQ(response->error, ErrorCode::kBadRequest) << "width " << int{width};
+  }
+  const std::vector<fp::Fixed> input{fp::Fixed::zero(client.format())};
+  EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
+  EXPECT_EQ(fx.server.stats().immediate_errors, 3u);
+  EXPECT_EQ(fx.server.stats().protocol_errors, 0u);
+}
+
+TEST(Net, TwelveBitServerAnswersANarrowRawOutsideItsFormatWithBadRequest) {
+  const NacuConfig config = config_for_bits(12);
+  serve::InferenceServer inference{config};
+  NetServer server{inference};
+  const BatchNacu direct{config};
+  Client client{server.port()};
+  ASSERT_TRUE(client.valid());
+  for (const std::int64_t outside :
+       {config.format.max_raw() + 1, config.format.min_raw() - 1}) {
+    const std::vector<std::int64_t> raws{0, outside};
+    const std::vector<std::uint8_t> frame = encode_submit(1, 0, raws, {});
+    ASSERT_EQ(frame.size(), 49 + 2 * raws.size());  // a 2-byte body
+    ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->error, ErrorCode::kBadRequest) << outside;
+  }
+  nn::Rng rng{83};
+  const std::vector<fp::Fixed> input = random_batch(rng, config.format, 64);
+  expect_bit_equal(client.call(Function::Tanh, input),
+                   direct.evaluate(Function::Tanh, input), "12-bit");
+  EXPECT_EQ(server.stats().immediate_errors, 2u);
+}
+
+TEST(Net, TwentyBitServerRoundTripsWideBodiesBitIdentically) {
+  const NacuConfig config = config_for_bits(20);
+  serve::InferenceServer inference{config};
+  NetServer server{inference};
+  const BatchNacu direct{config};
+  Client client{server.port()};
+  ASSERT_TRUE(client.valid());
+  nn::Rng rng{89};
+  for (const Function f : {Function::Sigmoid, Function::Tanh, Function::Exp}) {
+    const std::vector<fp::Fixed> input = random_batch(rng, config.format, 96);
+    ASSERT_EQ(encode_submit(1, 0, input, {}).size(), 49 + 8 * input.size());
+    expect_bit_equal(client.call(f, input), direct.evaluate(f, input),
+                     "20-bit f=" + std::to_string(static_cast<int>(f)));
+  }
+  const std::vector<fp::Fixed> logits = random_batch(rng, config.format, 12);
+  ASSERT_NE(client.send_softmax(logits), 0u);
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_TRUE(response->ok()) << response->message;
+  expect_bit_equal(response->values, direct.softmax(logits), "20-bit softmax");
+}
+
+TEST(Net, ClientRefusesAFrameLongerThanTheLimitAndKeepsServing) {
+  // On a 20-bit datapath random raws need the 8-byte width, so 140 000
+  // elements make a 1.1 MB frame: past kMaxFrameBytes.
+  const NacuConfig config = config_for_bits(20);
+  serve::InferenceServer inference{config};
+  NetServer server{inference};
+  const BatchNacu direct{config};
+  Client client{server.port()};
+  ASSERT_TRUE(client.valid());
+  nn::Rng rng{97};
+  const std::vector<fp::Fixed> first = random_batch(rng, config.format, 8);
+  const std::vector<fp::Fixed> huge =
+      random_batch(rng, config.format, 140'000);
+  const std::vector<fp::Fixed> last = random_batch(rng, config.format, 8);
+  const std::uint64_t first_id = client.send_submit(Function::Tanh, first);
+  const std::uint64_t huge_id = client.send_submit(Function::Tanh, huge);
+  const std::uint64_t last_id = client.send_submit(Function::Tanh, last);
+  EXPECT_NE(first_id, 0u);
+  EXPECT_EQ(huge_id, 0u);
+  EXPECT_EQ(last_id, first_id + 1);  // the refused frame used up no id
+  for (const auto& [id, input] : {std::pair{first_id, &first},
+                                  std::pair{last_id, &last}}) {
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "id " << id;
+    EXPECT_EQ(response->id, id);
+    ASSERT_TRUE(response->ok()) << response->message;
+    expect_bit_equal(response->values, direct.evaluate(Function::Tanh, *input),
+                     "id " + std::to_string(id));
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+  EXPECT_EQ(server.stats().frames_read, 2u);
+}
+
+TEST(Net, ResultThatOutgrowsOneFrameGetsBadRequestNotABrokenStream) {
+  // exp(0) = 1.0 is 2^15 on a 20-bit datapath: 2-byte raws in, 8-byte raws
+  // out, so 140 000 of them fit one request frame but not one result frame.
+  const NacuConfig config = config_for_bits(20);
+  serve::InferenceServer inference{config};
+  NetServer server{inference};
+  Client client{server.port()};
+  ASSERT_TRUE(client.valid());
+  const std::vector<fp::Fixed> zeros(140'000, fp::Fixed::zero(config.format));
+  ASSERT_NE(client.send_submit(Function::Exp, zeros), 0u);
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->error, ErrorCode::kBadRequest);
+  const std::vector<fp::Fixed> input{fp::Fixed::zero(config.format)};
+  EXPECT_NO_THROW((void)client.call(Function::Exp, input));
+  server.shutdown();
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+  EXPECT_EQ(server.stats().responses_written, 2u);
+}
+
+TEST(Net, ResultRawOutsideTheHelloFormatThrowsOutOfRange) {
+  // A stand-in server: a 12-bit Hello, then a result raw one past its range.
+  Listener listener;
+  ASSERT_TRUE(listener.valid());
+  std::thread fake{[&] {
+    std::optional<Socket> conn = listener.accept(10'000);
+    if (!conn) {
+      return;
+    }
+    const std::vector<std::uint8_t> hello =
+        encode_hello(3, 8, BatchNacu::kFunctionCount);
+    const std::vector<std::int64_t> raws{1, 2048};
+    const std::vector<std::uint8_t> result = encode_result_fixed(1, raws);
+    (void)conn->send_all(hello.data(), hello.size());
+    (void)conn->send_all(result.data(), result.size());
+  }};
+  Client client{listener.port()};
+  fake.join();  // both frames sent; the client reads them after the close
+  ASSERT_TRUE(client.valid());
+  EXPECT_THROW((void)client.read_response(), std::out_of_range);
 }
 
 TEST(Net, ClientVanishingMidRequestLeaksNothing) {
