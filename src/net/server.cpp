@@ -247,7 +247,6 @@ NetServer::Pending NetServer::handle_frame(
   submit_options.priority = static_cast<serve::Priority>(wire_options->priority);
   submit_options.tenant = wire_options->tenant;
   submit_options.max_retries = wire_options->max_retries;
-  submit_options.hedge_fraction = wire_options->hedge_fraction;
   if (wire_options->deadline_ns) {
     // Relative on the wire, absolute on the serving clock from here on.
     submit_options.deadline =

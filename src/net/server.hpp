@@ -23,8 +23,8 @@
 //           finished response never waits behind an unfinished one.
 //           Responses therefore stream back per connection in exactly the
 //           order requests were submitted, while the inference layer
-//           batches, steals, retries, and hedges them across shards in
-//           any order it likes.
+//           batches, steals and retries them across shards in any order
+//           it likes.
 //
 // Graceful drain rides the InferenceServer::shutdown() contract:
 // NetServer::shutdown() stops accepting, shuts down the inference layer

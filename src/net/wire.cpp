@@ -52,7 +52,7 @@ std::vector<std::uint8_t> seal(ByteWriter& w) {
 /// Head bytes before a body: opcode and request id.
 constexpr std::size_t kHeadBytes = 1 + 8;
 /// Bytes of the options block encode_submit_options writes.
-constexpr std::size_t kOptionsBytes = 30;
+constexpr std::size_t kOptionsBytes = 22;
 /// Bytes of a raw body before its raws: element width and count.
 constexpr std::size_t kRawBodyHeadBytes = 1 + 4;
 
@@ -172,7 +172,6 @@ void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options) {
   w.u64(options.tenant);
   w.u32(options.max_retries);
   w.i64(options.deadline_ns.value_or(0));
-  w.f64(options.hedge_fraction);
 }
 
 std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
@@ -181,9 +180,7 @@ std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
   const auto tenant = r.u64();
   const auto max_retries = r.u32();
   const auto deadline_ns = r.i64();
-  const auto hedge = r.f64();
-  if (!priority || !flags || !tenant || !max_retries || !deadline_ns ||
-      !hedge) {
+  if (!priority || !flags || !tenant || !max_retries || !deadline_ns) {
     return std::nullopt;
   }
   WireSubmitOptions options;
@@ -193,7 +190,6 @@ std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
   if ((*flags & 1u) != 0) {
     options.deadline_ns = *deadline_ns;
   }
-  options.hedge_fraction = *hedge;
   return options;
 }
 

@@ -27,7 +27,7 @@
 //
 //   Hello (server → client, once, immediately after accept):
 //     u8  opcode = kHello
-//     u8  protocol version (kProtocolVersion = 2: "nacu-wire v2")
+//     u8  protocol version (kProtocolVersion = 3: "nacu-wire v3")
 //     u8  format integer bits   ┐ the server's datapath grid — raw
 //     u8  format fractional bits┘ values on the wire live on it
 //     u8  function count (how many Function values submits may carry)
@@ -59,7 +59,7 @@
 //     u32 element count
 //     f64 × count    model inputs (IEEE-754 bits as u64)
 //
-//   SubmitOptions block (fixed 30 bytes, always present):
+//   SubmitOptions block (fixed 22 bytes, always present):
 //     u8  priority (Priority index)
 //     u8  flags (bit 0: deadline_ns is set)
 //     u64 tenant id
@@ -68,7 +68,6 @@
 //         steady_clock points are meaningless across processes; the
 //         server resolves deadline = its own serving clock + deadline_ns
 //         at the moment it parses the frame.
-//     f64 hedge fraction
 //
 //   ResultFixed (server → client):
 //     u8  opcode = kResultFixed
@@ -109,7 +108,7 @@
 
 namespace nacu::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 /// Hard per-frame payload bound: large enough for any realistic batch
 /// (about 512 Ki elements at width 2, 128 Ki at width 8), small enough
 /// that a corrupt length prefix cannot make the reader allocate unbounded
@@ -155,7 +154,6 @@ struct WireSubmitOptions {
   std::uint64_t tenant = 0;
   std::uint32_t max_retries = 0;
   std::optional<std::int64_t> deadline_ns;  ///< relative to server receipt
-  double hedge_fraction = 0.0;
 };
 
 // -- byte-level encode/decode ------------------------------------------------

@@ -23,14 +23,13 @@
 // future becomes ready).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
 #include <future>
-#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -122,52 +121,6 @@ struct SubmitOptions {
   /// cannot amplify load; when either is exhausted the future fails with
   /// ShardFailedError. 0 (the default) fails fast on the first loss.
   std::uint32_t max_retries = 0;
-  /// Tail-latency hedging: with a deadline set and a fraction in (0, 1],
-  /// the supervisor launches a duplicate dispatch on another shard once
-  /// this fraction of the submit→deadline interval elapses unfinished.
-  /// The first copy to complete wins; results are bit-identical either way
-  /// (every shard's tables are built from the same scalar datapath), so
-  /// hedging is purely a tail-latency lever. Hedges draw from the same
-  /// retry budget. 0 (the default) disables hedging.
-  double hedge_fraction = 0.0;
-};
-
-/// One-shot result cell shared between a request and its retry/hedge
-/// copies. The resilience layer may put several copies of one accepted
-/// request in flight (a hedge racing a slow shard, a requeue after a shard
-/// died); whichever copy finishes first wins — a single atomic exchange
-/// decides the winner, so the underlying promise is fulfilled exactly once
-/// and later completions are dropped, never double-set.
-template <typename T>
-class SharedResult {
- public:
-  using value_type = T;
-
-  [[nodiscard]] std::future<T> get_future() { return promise_.get_future(); }
-  /// Whether some copy already completed (lets the supervisor skip firing
-  /// a hedge whose original has finished).
-  [[nodiscard]] bool done() const noexcept {
-    return done_.load(std::memory_order_acquire);
-  }
-  /// True when this call won (fulfilled the promise).
-  bool set_value(T value) {
-    if (done_.exchange(true, std::memory_order_acq_rel)) {
-      return false;
-    }
-    promise_.set_value(std::move(value));
-    return true;
-  }
-  bool set_exception(std::exception_ptr error) {
-    if (done_.exchange(true, std::memory_order_acq_rel)) {
-      return false;
-    }
-    promise_.set_exception(std::move(error));
-    return true;
-  }
-
- private:
-  std::promise<T> promise_;
-  std::atomic<bool> done_{false};
 };
 
 /// Element-wise activation over the datapath: out[i] = f(in[i]). These are
@@ -179,8 +132,7 @@ class SharedResult {
 struct ActivationRequest {
   core::BatchNacu::Function function = core::BatchNacu::Function::Sigmoid;
   std::vector<fp::Fixed> input;
-  std::shared_ptr<SharedResult<std::vector<fp::Fixed>>> result =
-      std::make_shared<SharedResult<std::vector<fp::Fixed>>>();
+  std::promise<std::vector<fp::Fixed>> result;
 };
 
 /// One Eq. 13 softmax row. Rows are dispatched in the same groups as
@@ -188,8 +140,7 @@ struct ActivationRequest {
 /// normalisation couples every element of a row, so rows are never merged.
 struct SoftmaxRequest {
   std::vector<fp::Fixed> logits;
-  std::shared_ptr<SharedResult<std::vector<fp::Fixed>>> result =
-      std::make_shared<SharedResult<std::vector<fp::Fixed>>>();
+  std::promise<std::vector<fp::Fixed>> result;
 };
 
 /// Full nn::QuantizedMlp forward pass (predict_proba). The model is
@@ -197,8 +148,7 @@ struct SoftmaxRequest {
 struct MlpRequest {
   const nn::QuantizedMlp* model = nullptr;
   std::vector<double> input;
-  std::shared_ptr<SharedResult<std::vector<double>>> result =
-      std::make_shared<SharedResult<std::vector<double>>>();
+  std::promise<std::vector<double>> result;
 };
 
 /// One nn::LstmFixed cell step. The model is borrowed like MlpRequest's.
@@ -206,14 +156,16 @@ struct LstmRequest {
   const nn::LstmFixed* model = nullptr;
   nn::LstmFixed::State state;
   std::vector<double> x;
-  std::shared_ptr<SharedResult<nn::LstmFixed::State>> result =
-      std::make_shared<SharedResult<nn::LstmFixed::State>>();
+  std::promise<nn::LstmFixed::State> result;
 };
 
 /// One queued unit of work plus its scheduling metadata: the admission
 /// timestamp (feeds the max_wait flush policy and the
 /// serve.request_latency_ns enqueue→complete histogram), the priority it
-/// was admitted under, and its optional deadline.
+/// was admitted under, and its optional deadline. Every accepted request
+/// exists as exactly one Request, moved from submit through its queue,
+/// batcher and dispatch group (and through a requeue after a shard
+/// failure), so its promise has exactly one producer.
 struct Request {
   std::variant<ActivationRequest, SoftmaxRequest, MlpRequest, LstmRequest>
       payload;
@@ -223,25 +175,15 @@ struct Request {
   /// Remaining transparent re-enqueues after a shard failure
   /// (SubmitOptions::max_retries; decremented per requeue).
   std::uint32_t retries_left = 0;
-  /// A supervisor-launched hedge duplicate. Shares the original's
-  /// SharedResult but is not client-accepted work: it never counts toward
-  /// the completed counter and is silently dropped when orphaned.
-  bool hedge_copy = false;
 };
+static_assert(!std::is_copy_constructible_v<Request>,
+              "one Request, and one promise, per accepted request");
 
-/// Deliver @p error through whichever result cell the request carries
-/// (deadline shedding / shard-failure sweeps, which never reach
-/// execute_one). A no-op when another copy of the request already won.
+/// Deliver @p error through the request's promise (deadline shedding and
+/// shard-failure sweeps, which never reach execute_one).
 inline void fail_request(Request& request, std::exception_ptr error) {
-  std::visit([&](auto& r) { (void)r.result->set_exception(std::move(error)); },
+  std::visit([&](auto& r) { r.result.set_exception(std::move(error)); },
              request.payload);
-}
-
-/// Whether the request's result cell has already been fulfilled by some
-/// copy (original or hedge).
-[[nodiscard]] inline bool request_done(const Request& request) {
-  return std::visit([](const auto& r) { return r.result->done(); },
-                    request.payload);
 }
 
 }  // namespace nacu::serve

@@ -15,8 +15,9 @@
 //    retries or ShardFailedError futures, rebuilds the shard's private
 //    BatchNacu from the scalar datapath, and respawns the thread. A shard
 //    whose heartbeat freezes while work queues (a stall) is not killed —
-//    that is never safe in C++ — but its circuit opens and its queued
-//    ingress is redistributed to healthy shards;
+//    that is never safe in C++ — but its circuit opens and its inbox is
+//    redistributed to healthy shards. Requests the stalled dispatcher
+//    already drained into its private batcher wait for that dispatcher;
 //
 //  * circuit breaking — per-shard Closed/Open/HalfOpen state driven by
 //    consecutive failures (detector hits, scrub re-verify failures) and
@@ -29,15 +30,14 @@
 //    falls back to ignoring circuit state entirely (fail-static: a queue
 //    that may recover beats a rejection);
 //
-//  * retry/hedging budgets — SubmitOptions::max_retries grants a request
-//    transparent re-enqueues after shard failures; SubmitOptions::
-//    hedge_fraction launches a duplicate dispatch on another shard when a
-//    deadline-carrying request sits unfinished too long (first completed
-//    copy wins through SharedResult, bit-identical either way). Both draw
+//  * retry budget — SubmitOptions::max_retries grants a request
+//    transparent re-enqueues after shard failures. Every requeue draws
 //    from one server-wide RetryBudget token bucket — the same bucket
 //    arithmetic as per-tenant admission quotas (admission.hpp TokenBucket,
-//    injectable clock) — so a crash-looping shard or a hedge storm cannot
-//    amplify offered load;
+//    injectable clock) — so a crash-looping shard cannot amplify offered
+//    load. A request is only ever re-enqueued after the shard holding it
+//    let go of it, so each accepted request is one Request with one
+//    promise;
 //
 //  * live SEU scrub-and-recover — with a fault::BitFaultPort armed on a
 //    shard engine (ResilienceOptions::shard_fault_ports), the dispatcher
@@ -84,6 +84,8 @@ namespace nacu::serve {
 /// Knobs for the supervisor, circuit breaker, retry budget, and live
 /// verification. Defaults keep supervision on (cheap: one mostly-sleeping
 /// thread) and per-dispatch verification off unless a fault port is armed.
+/// The stall timeout (50 ms), the Open → HalfOpen cooldown (5 ms) and the
+/// HalfOpen trial count (4) are constants in server.cpp.
 struct ResilienceOptions {
   /// Run the watchdog thread. Off, the machinery is passive: heartbeats
   /// and health state still update, and poke_supervisor() performs the
@@ -91,19 +93,13 @@ struct ResilienceOptions {
   bool supervise = true;
   /// Watchdog pass interval (real time — the pass itself uses `clock`).
   std::chrono::microseconds watchdog_interval{500};
-  /// A shard whose heartbeat is frozen this long while its queue holds
-  /// work is declared stalled: circuit opens, queued ingress redistributes.
-  std::chrono::milliseconds stall_timeout{50};
   /// Consecutive shard-level failures (detections, scrub re-verify
   /// failures) that trip the circuit open. Dispatcher death and stalls
   /// force it open immediately.
   std::size_t failure_threshold = 3;
-  /// Open → HalfOpen cooldown.
-  std::chrono::milliseconds open_cooldown{5};
-  /// Server-wide retry/hedge budget: sustained tokens per second and
-  /// burst. Every transparent requeue and every fired hedge draws one
-  /// token; an empty bucket turns a retry into ShardFailedError and a
-  /// hedge into a no-op.
+  /// Server-wide retry budget: sustained tokens per second and burst.
+  /// Every transparent requeue draws one token; an empty bucket turns a
+  /// retry into ShardFailedError.
   double retry_budget_per_s = 100.0;
   double retry_budget_burst = 32.0;
   /// Verify every table-path dispatch against the golden parity
@@ -116,8 +112,8 @@ struct ResilienceOptions {
   /// nullptr = unarmed). Ports must be thread-safe (FaultInjector is).
   /// Attaching a port enables per-dispatch verification on that shard.
   std::vector<fault::BitFaultPort*> shard_fault_ports;
-  /// Clock for circuit cooldowns, stall timing, hedge fire times, and the
-  /// retry budget. Empty → the real steady clock. Injected by tests.
+  /// Clock for circuit cooldowns, stall timing and the retry budget.
+  /// Empty → the real steady clock. Injected by tests.
   std::function<std::chrono::steady_clock::time_point()> clock;
   /// Test/chaos seam: called by each dispatcher at the top of every loop
   /// pass (after the heartbeat, holding no requests). Throwing simulates
@@ -265,7 +261,7 @@ struct ShardHealthSnapshot {
   std::uint64_t stalls = 0;
 };
 
-/// Server-wide retry/hedge budget: one TokenBucket (the admission-layer
+/// Server-wide retry budget: one TokenBucket (the admission-layer
 /// bucket arithmetic) behind a mutex, read on the injected clock.
 class RetryBudget {
  public:

@@ -15,6 +15,12 @@
 namespace nacu::serve {
 namespace {
 
+/// A shard whose heartbeat stays frozen this long while its inbox holds
+/// work is declared stalled: its circuit opens and its inbox
+/// redistributes.
+constexpr std::chrono::milliseconds kStallTimeout{50};
+/// Open → HalfOpen cooldown.
+constexpr std::chrono::milliseconds kOpenCooldown{5};
 /// Requests a HalfOpen shard admits before routing skips it again; the
 /// first cleanly executed dispatch group closes the circuit.
 constexpr std::size_t kHalfOpenTrials = 4;
@@ -150,9 +156,9 @@ void InferenceServer::shutdown() {
 void InferenceServer::sweep_leftovers() {
   // A dispatcher that exited cleanly leaves nothing behind (it only
   // returns on Stopped + empty). Anything still queued belongs to a shard
-  // that died or stalled with no supervisor pass left to recover it:
-  // fail-or-finish every orphan so the drain guarantee (every accepted
-  // future becomes ready) holds unconditionally.
+  // that died with no supervisor pass left to recover it: fail every
+  // orphan so the drain guarantee (every accepted future becomes ready)
+  // holds unconditionally.
   for (auto& shard : shards_) {
     std::vector<Request> orphans;
     while (!shard->batcher.empty()) {
@@ -166,21 +172,11 @@ void InferenceServer::sweep_leftovers() {
         [&](Request&& r) { orphans.push_back(std::move(r)); },
         std::numeric_limits<std::size_t>::max());
     for (Request& r : orphans) {
-      if (r.hedge_copy) {
-        continue;  // not client work
-      }
-      const bool owed = !request_done(r);
-      if (owed) {
-        retry_exhausted_.add();
-      }
+      retry_exhausted_.add();
       finish(r);
-      if (owed) {
-        fail_request(r, std::make_exception_ptr(ShardFailedError{}));
-      }
+      fail_request(r, std::make_exception_ptr(ShardFailedError{}));
     }
   }
-  const std::lock_guard<std::mutex> lock{hedges_mutex_};
-  hedges_.clear();  // copies only; the originals were accounted above
 }
 
 bool InferenceServer::accepting() const {
@@ -230,8 +226,6 @@ InferenceServer::Counters InferenceServer::counters() const {
              .degraded_requests = degraded_requests_.value(),
              .retried = retried_.value(),
              .retry_exhausted = retry_exhausted_.value(),
-             .hedges = hedges_launched_.value(),
-             .hedge_wins = hedge_wins_.value(),
              .circuit_opens = circuit_opens_.value(),
              .circuit_closes = circuit_closes_.value()};
   for (const auto& shard : shards_) {
@@ -262,7 +256,7 @@ std::chrono::steady_clock::time_point InferenceServer::resilience_now() const {
 template <typename Result, typename Payload>
 std::future<Result> InferenceServer::enqueue(
     Payload payload, const SubmitOptions& submit_options) {
-  std::future<Result> future = payload.result->get_future();
+  std::future<Result> future = payload.result.get_future();
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_shutdown_.add();
     throw ShutdownError{};
@@ -288,16 +282,6 @@ std::future<Result> InferenceServer::enqueue(
     // latency histogram; with max_wait = 0 and metrics off nothing reads
     // it, so the hot path skips the clock.
     request.enqueued_at = now();
-  }
-  const bool hedged = submit_options.hedge_fraction > 0.0 &&
-                      submit_options.deadline.has_value();
-  std::optional<Request> hedge;
-  if (hedged) {
-    // Copy before the queue consumes the original: the copy shares the
-    // SharedResult cell (first completion wins) but is not client work.
-    hedge = request;
-    hedge->hedge_copy = true;
-    hedge->retries_left = 0;
   }
 
   const std::size_t depth_limit = admission_.depth_limit(submit_options.priority);
@@ -337,26 +321,6 @@ std::future<Result> InferenceServer::enqueue(
   }
   if (placed) {
     accepted_.add();
-    if (hedged) {
-      const auto now_r = resilience_now();
-      const double frac =
-          std::clamp(submit_options.hedge_fraction, 0.0, 1.0);
-      const std::chrono::nanoseconds left = *submit_options.deadline - now_r;
-      // Scaled in double but never past the time left, so a far-future
-      // (saturated) deadline overflows neither the conversion nor the sum.
-      const double scaled = static_cast<double>(left.count()) * frac;
-      const std::chrono::nanoseconds wait =
-          left.count() <= 0 ? std::chrono::nanoseconds::zero()
-          : scaled < static_cast<double>(left.count())
-              ? std::chrono::nanoseconds{static_cast<std::int64_t>(scaled)}
-              : left;
-      const std::lock_guard<std::mutex> lock{hedges_mutex_};
-      hedges_.push_back(PendingHedge{
-          .fire_at = now_r + wait,
-          .origin = *placed,
-          .request = std::move(*hedge)});
-      hedges_armed_.add();
-    }
     return future;
   }
   if (depth_limit < per_shard_capacity_) {
@@ -623,10 +587,7 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
         offset += n;
         handled[i] = true;
         finish(group[i]);
-        const bool won = act.result->set_value(std::move(act.input));
-        if (won && group[i].hedge_copy) {
-          hedge_wins_.add();
-        }
+        act.result.set_value(std::move(act.input));
       }
     } catch (...) {
       // A bad request poisons the whole coalesced call (e.g. an input
@@ -658,7 +619,6 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
 }
 
 void InferenceServer::execute_one(Shard& shard, Request& request) {
-  bool won = false;
   // Every counter — degraded_requests_ and finish()'s — moves *before* the
   // promise resolves, so a client that observed its future ready also
   // observes the counters (promise synchronisation publishes the
@@ -667,7 +627,7 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
   std::visit(
       [&](auto& r) {
         using T = std::decay_t<decltype(r)>;
-        using Value = typename std::decay_t<decltype(*r.result)>::value_type;
+        using Value = decltype(r.result.get_future().get());
         std::optional<Value> value;
         std::exception_ptr error;
         try {
@@ -723,21 +683,15 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
         }
         finish(request);
         if (value) {
-          won = r.result->set_value(std::move(*value));
+          r.result.set_value(std::move(*value));
         } else {
-          (void)r.result->set_exception(std::move(error));
+          r.result.set_exception(std::move(error));
         }
       },
       request.payload);
-  if (won && request.hedge_copy) {
-    hedge_wins_.add();
-  }
 }
 
 void InferenceServer::finish(const Request& request) {
-  if (request.hedge_copy) {
-    return;  // not client work; the original's finish() keeps the books
-  }
   completed_.add();
   if (obs::metrics_enabled() &&
       request.enqueued_at != std::chrono::steady_clock::time_point{}) {
@@ -773,7 +727,6 @@ void InferenceServer::poke_supervisor() {
 
 void InferenceServer::supervisor_pass(
     std::chrono::steady_clock::time_point now) {
-  const ResilienceOptions& res = options_.resilience;
   // Snapshot inbox depths before any recovery runs: requests this pass
   // redistributes from a stalled shard must not count as the *target*
   // shard's long-pending work — its stall window starts next pass.
@@ -802,7 +755,7 @@ void InferenceServer::supervisor_pass(
       // starts when work arrives.
       last_progress_[i] = now;
     } else if (shards_.size() > 1 &&
-               now - last_progress_[i] >= res.stall_timeout) {
+               now - last_progress_[i] >= kStallTimeout) {
       shard.health.record_stall();
       if (shard.health.force_open(now)) {
         circuit_opens_.add();
@@ -819,12 +772,8 @@ void InferenceServer::supervisor_pass(
     if (shard.health.take_scrub_request()) {
       scrub_shard(i, now);
     }
-    shard.health.maybe_half_open(
-        now, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 res.open_cooldown),
-        kHalfOpenTrials);
+    shard.health.maybe_half_open(now, kOpenCooldown, kHalfOpenTrials);
   }
-  fire_due_hedges(now);
 }
 
 void InferenceServer::recover_dead_shard(
@@ -927,64 +876,7 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
   }
 }
 
-void InferenceServer::fire_due_hedges(
-    std::chrono::steady_clock::time_point now) {
-  std::vector<PendingHedge> due;
-  {
-    const std::lock_guard<std::mutex> lock{hedges_mutex_};
-    auto it = hedges_.begin();
-    while (it != hedges_.end()) {
-      if (request_done(it->request)) {
-        it = hedges_.erase(it);  // the original already won — drop
-      } else if (it->fire_at <= now) {
-        due.push_back(std::move(*it));
-        it = hedges_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (PendingHedge& h : due) {
-    if (request_done(h.request)) {
-      continue;
-    }
-    if (h.request.deadline.has_value() && *h.request.deadline <= now) {
-      continue;  // too late to help; the dispatcher sheds the original
-    }
-    if (!retry_budget_->try_draw()) {
-      continue;  // budget empty — hedging is strictly best-effort
-    }
-    // A healthy shard other than the origin (a hedge on the same slow
-    // shard would wait behind the same backlog).
-    const std::size_t shard_count = shards_.size();
-    for (std::size_t probe = 1; probe <= shard_count; ++probe) {
-      const std::size_t idx = (h.origin + probe) % shard_count;
-      if (shard_count > 1 && idx == h.origin) {
-        continue;
-      }
-      Shard& shard = *shards_[idx];
-      if (!shard.health.try_admit()) {
-        continue;
-      }
-      if (shard.queue.try_push(h.request, per_shard_capacity_) ==
-          ShardQueue::Push::Ok) {
-        hedges_launched_.add();
-        break;
-      }
-    }
-    // No shard took it: the hedge is silently dropped (the original is
-    // still in flight and owns the future).
-  }
-}
-
 void InferenceServer::requeue_or_fail(Request&& request) {
-  if (request.hedge_copy) {
-    return;  // copies are disposable; the original owns the future
-  }
-  if (request_done(request)) {
-    finish(request);  // a hedge already delivered the value — just account
-    return;
-  }
   if (request.retries_left > 0 && retry_budget_->try_draw()) {
     request.retries_left -= 1;
     const std::size_t shard_count = shards_.size();

@@ -25,8 +25,8 @@
 //   * self-healing (resilience.hpp) — per-shard supervision with
 //     heartbeat watchdog, crash respawn and stall redistribution;
 //     per-shard circuit breaking that routes traffic away from unhealthy
-//     shards; budgeted transparent retries and tail-latency hedging; and
-//     live SEU scrub-and-recover: with a fault port armed, every
+//     shards; budgeted transparent retries; and live SEU
+//     scrub-and-recover: with a fault port armed, every
 //     table-path result is parity-verified before release, a detection
 //     quarantines the function onto the bit-identical scalar path while
 //     the supervisor scrub-rebuilds the table off the hot path.
@@ -36,7 +36,7 @@
 //
 //  * bit-identity — results equal direct BatchNacu/model calls raw-for-raw
 //    no matter the shard count, the stealing schedule, how requests were
-//    coalesced into groups, whether a retry or hedge copy won, or whether
+//    coalesced into groups, whether a retry re-ran the request, or whether
 //    the serving path was quarantined down to the scalar unit. Every
 //    shard's engine builds identical tables from the same scalar datapath,
 //    and the scalar datapath *is* the table's source — so every schedule
@@ -110,13 +110,13 @@ struct ServerOptions {
   std::chrono::microseconds steal_poll{100};
   /// Priority depth limits, deadline policy, per-tenant quotas.
   AdmissionOptions admission{};
-  /// Supervision, circuit breaking, retry/hedge budgets, live SEU
+  /// Supervision, circuit breaking, the retry budget, live SEU
   /// verification (resilience.hpp).
   ResilienceOptions resilience{};
   /// The serving layer's single time source (empty = steady_clock). Every
   /// time read in the layer — the enqueued_at stamp, the max_wait flush
   /// check, dispatch-time deadline shedding, the completion-latency
-  /// histogram, circuit cooldowns, hedge fire times — goes through this
+  /// histogram, circuit cooldowns, stall timing — goes through this
   /// one seam: at construction it is propagated into admission.clock and
   /// resilience.clock wherever those are unset, so injecting a fake clock
   /// here puts the whole layer on fake time. (Before this seam existed,
@@ -191,7 +191,7 @@ class InferenceServer {
 
   /// Run one supervisor pass now, on the resilience clock: recover dead
   /// dispatchers, detect stalls, perform requested scrubs, advance circuit
-  /// cooldowns, fire due hedges. The watchdog thread calls this on its
+  /// cooldowns. The watchdog thread calls this on its
   /// interval; fake-clock tests (and the chaos bench) call it directly for
   /// deterministic recovery. Serialised against the watchdog; a no-op
   /// once shutdown has begun.
@@ -207,8 +207,7 @@ class InferenceServer {
   /// Snapshot of this server's counters, exact whether or not obs metrics
   /// are enabled; the recovery totals (detections, scrubs, scrub_failures,
   /// respawns, stalls) are sums of the shard_health() tallies. Invariant
-  /// after shutdown(): accepted == completed (hedge copies are not client
-  /// work and count toward neither), and
+  /// after shutdown(): accepted == completed, and
   /// accepted + rejected_* + shed_priority == submissions attempted.
   struct Counters {
     std::uint64_t accepted = 0;
@@ -231,8 +230,6 @@ class InferenceServer {
     std::uint64_t stalls = 0;    ///< frozen-heartbeat redistributions
     std::uint64_t retried = 0;   ///< transparent requeues after shard loss
     std::uint64_t retry_exhausted = 0;  ///< futures failed ShardFailedError
-    std::uint64_t hedges = 0;      ///< duplicate dispatches launched
-    std::uint64_t hedge_wins = 0;  ///< races won by the hedge copy
     std::uint64_t circuit_opens = 0;
     std::uint64_t circuit_closes = 0;
   };
@@ -279,13 +276,6 @@ class InferenceServer {
     std::thread dispatcher;  ///< started after every shard exists
   };
 
-  /// A supervisor-armed duplicate dispatch waiting for its fire time.
-  struct PendingHedge {
-    std::chrono::steady_clock::time_point fire_at{};
-    std::size_t origin = 0;  ///< shard the original was accepted into
-    Request request;         ///< hedge_copy = true, shares the SharedResult
-  };
-
   /// Admission: preadmit (deadline/quota), stamp, then push into the home
   /// shard or — when it is full — probe the others once around, skipping
   /// shards whose circuit refuses (falling back to ignoring circuit state
@@ -302,8 +292,8 @@ class InferenceServer {
   [[nodiscard]] std::size_t home_shard() const noexcept;
 
   /// Now on the resilience clock (injected fake in tests, steady_clock
-  /// otherwise). Circuit cooldowns, stall timing, hedge fire times, and
-  /// the retry budget all read this clock.
+  /// otherwise). Circuit cooldowns, stall timing and the retry budget all
+  /// read this clock.
   [[nodiscard]] std::chrono::steady_clock::time_point resilience_now() const;
 
   /// Crash barrier around dispatcher_run: an escaped exception marks the
@@ -315,7 +305,7 @@ class InferenceServer {
   /// Execute one dispatch group on @p shard: shed expired deadlines,
   /// coalesce activations per function, run everything else per request,
   /// verify table-path results when armed, fulfil every promise exactly
-  /// once (first completed copy wins).
+  /// once.
   void execute_group(Shard& shard, std::vector<Request> group);
   /// Non-coalesced execution of one request (also the error-isolation
   /// fallback when a coalesced evaluation throws), including its finish().
@@ -325,9 +315,7 @@ class InferenceServer {
   void on_detection(Shard& shard, std::size_t function_index);
   /// Record completion metrics and the enqueue→complete latency. Called
   /// before the request's result is published, so a client whose future
-  /// is ready sees the counters too — except when a hedge copy won first,
-  /// which publishes before the original is accounted. Hedge copies are
-  /// not client work — they are skipped entirely.
+  /// is ready sees the counters too.
   void finish(const Request& request);
 
   // -- supervisor (watchdog thread or poke_supervisor) ---------------------
@@ -343,15 +331,10 @@ class InferenceServer {
   /// success; keep stuck-at functions quarantined (still serving, scalar).
   void scrub_shard(std::size_t shard_index,
                    std::chrono::steady_clock::time_point now);
-  /// Launch hedge copies whose fire time has passed (budget-capped, to a
-  /// healthy non-origin shard); drop hedges whose original completed.
-  void fire_due_hedges(std::chrono::steady_clock::time_point now);
   /// Transparently re-enqueue an orphaned request if it has retry credit
   /// and the budget admits; otherwise fail its future (ShardFailedError).
-  /// Hedge copies are silently dropped.
   void requeue_or_fail(Request&& request);
-  /// Post-join shutdown sweep: fail-or-finish anything a dead shard left
-  /// behind, drop pending hedges.
+  /// Post-join shutdown sweep: fail anything a dead shard left behind.
   void sweep_leftovers();
 
   ServerOptions options_;
@@ -375,9 +358,6 @@ class InferenceServer {
   /// heartbeat and when it last advanced, per shard.
   std::vector<std::uint64_t> last_heartbeat_;
   std::vector<std::chrono::steady_clock::time_point> last_progress_;
-
-  std::mutex hedges_mutex_;
-  std::vector<PendingHedge> hedges_;
 
   std::atomic<bool> stopping_{false};
   std::once_flag join_once_;
@@ -407,10 +387,6 @@ class InferenceServer {
   obs::Counter& retried_ = metrics_.counter("serve.resilience.retried");
   obs::Counter& retry_exhausted_ =
       metrics_.counter("serve.resilience.retry_exhausted");
-  obs::Counter& hedges_armed_ =
-      metrics_.counter("serve.resilience.hedges_armed");
-  obs::Counter& hedges_launched_ = metrics_.counter("serve.resilience.hedges");
-  obs::Counter& hedge_wins_ = metrics_.counter("serve.resilience.hedge_wins");
   obs::Counter& circuit_opens_ =
       metrics_.counter("serve.resilience.circuit_opens");
   obs::Counter& circuit_closes_ =

@@ -147,7 +147,6 @@ TEST(Wire, SubmitOptionsRoundTripEveryField) {
   options.tenant = 0xDEADBEEFCAFEull;
   options.max_retries = 7;
   options.deadline_ns = -123456789;  // "already expired" is representable
-  options.hedge_fraction = 0.375;
 
   ByteWriter w;
   encode_submit_options(w, options);
@@ -160,7 +159,6 @@ TEST(Wire, SubmitOptionsRoundTripEveryField) {
   EXPECT_EQ(decoded->max_retries, options.max_retries);
   ASSERT_TRUE(decoded->deadline_ns.has_value());
   EXPECT_EQ(*decoded->deadline_ns, *options.deadline_ns);
-  EXPECT_EQ(decoded->hedge_fraction, options.hedge_fraction);
   EXPECT_TRUE(r.exhausted());
 
   // No deadline → flag bit clear → decodes back to nullopt.
@@ -223,8 +221,8 @@ TEST(Wire, Q411BodiesCostTwoBytesPerElement) {
       raws[0] = q4_11.min_raw();
       raws[1] = q4_11.max_raw();
     }
-    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 49 + 2 * n) << n;
-    EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(), 48 + 2 * n) << n;
+    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 41 + 2 * n) << n;
+    EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(), 40 + 2 * n) << n;
     EXPECT_EQ(encode_result_fixed(1, raws).size(), 18 + 2 * n) << n;
   }
 }
@@ -237,9 +235,9 @@ TEST(Wire, OneRawOutsideInt16WidensTheWholeBody) {
     const std::vector<std::uint8_t> result = encode_result_fixed(1, raws);
     EXPECT_EQ(result.size(), 18 + 8 * raws.size()) << outside;
     EXPECT_EQ(result[kLengthPrefixBytes + 9], kWideElementBytes) << outside;
-    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 49 + 8 * raws.size());
+    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 41 + 8 * raws.size());
     EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(),
-              48 + 8 * raws.size());
+              40 + 8 * raws.size());
   }
 }
 
@@ -505,16 +503,12 @@ TEST(Net, FarFutureDeadlineMeansNoPracticalDeadline) {
   const std::vector<fp::Fixed> input = random_batch(rng, fx.config.format, 8);
   WireSubmitOptions options;
   options.deadline_ns = std::numeric_limits<std::int64_t>::max();
-  // Plain, then hedged at the far end of that deadline.
-  for (const double hedge_fraction : {0.0, 1.0}) {
-    options.hedge_fraction = hedge_fraction;
-    ASSERT_NE(client.send_submit(Function::Tanh, input, options), 0u);
-    const auto response = client.read_response();
-    ASSERT_TRUE(response.has_value());
-    ASSERT_TRUE(response->ok()) << response->message;
-    expect_bit_equal(response->values, direct.evaluate(Function::Tanh, input),
-                     "hedge_fraction " + std::to_string(hedge_fraction));
-  }
+  ASSERT_NE(client.send_submit(Function::Tanh, input, options), 0u);
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_TRUE(response->ok()) << response->message;
+  expect_bit_equal(response->values, direct.evaluate(Function::Tanh, input),
+                   "far-future deadline");
 }
 
 TEST(Net, SubmitAfterShutdownComesBackAsShutdownError) {
@@ -732,7 +726,7 @@ TEST(Net, TwelveBitServerAnswersANarrowRawOutsideItsFormatWithBadRequest) {
        {config.format.max_raw() + 1, config.format.min_raw() - 1}) {
     const std::vector<std::int64_t> raws{0, outside};
     const std::vector<std::uint8_t> frame = encode_submit(1, 0, raws, {});
-    ASSERT_EQ(frame.size(), 49 + 2 * raws.size());  // a 2-byte body
+    ASSERT_EQ(frame.size(), 41 + 2 * raws.size());  // a 2-byte body
     ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
     const auto response = client.read_response();
     ASSERT_TRUE(response.has_value());
@@ -755,7 +749,7 @@ TEST(Net, TwentyBitServerRoundTripsWideBodiesBitIdentically) {
   nn::Rng rng{89};
   for (const Function f : {Function::Sigmoid, Function::Tanh, Function::Exp}) {
     const std::vector<fp::Fixed> input = random_batch(rng, config.format, 96);
-    ASSERT_EQ(encode_submit(1, 0, input, {}).size(), 49 + 8 * input.size());
+    ASSERT_EQ(encode_submit(1, 0, input, {}).size(), 41 + 8 * input.size());
     expect_bit_equal(client.call(f, input), direct.evaluate(f, input),
                      "20-bit f=" + std::to_string(static_cast<int>(f)));
   }
@@ -1051,7 +1045,11 @@ TEST(Net, ClosedLoopDrainingBufferedResponsesNeverStalls) {
 
 TEST(Net, OneSenderThreadAndOneReaderThreadMayShareAClient) {
   // bench_e2e's open-loop shape: a sender thread fires bursts on its own
-  // schedule while a reader thread collects the responses.
+  // schedule while a reader thread collects the responses. The sender
+  // pipelines more requests than the default queue_capacity holds, so a
+  // descheduled dispatcher lets the queues fill: those requests are
+  // answered kOverloaded (the documented backpressure), each counted once
+  // on both sides of the edge, and every other answer is bit-identical.
   serve::ServerOptions options;
   options.shards = 2;
   NetFixture fx{options};
@@ -1077,17 +1075,37 @@ TEST(Net, OneSenderThreadAndOneReaderThreadMayShareAClient) {
     }
   }};
   std::size_t answered = 0;
+  std::size_t ok = 0;
+  std::size_t overloaded = 0;
   while (answered < kRequests) {
     const auto response = client.read_response();
-    if (!response || !response->ok() || response->id != answered + 1 ||
-        !bit_equal(response->values,
-                   direct.evaluate(Function::Sigmoid, inputs[answered]))) {
+    if (!response || response->id != answered + 1) {
+      ADD_FAILURE() << "answer for id " << answered + 1
+                    << (response ? " out of order" : " missing");
       break;
+    }
+    if (response->ok()) {
+      EXPECT_TRUE(bit_equal(
+          response->values,
+          direct.evaluate(Function::Sigmoid, inputs[answered])))
+          << "id " << response->id;
+      ++ok;
+    } else {
+      EXPECT_EQ(response->error, ErrorCode::kOverloaded)
+          << "id " << response->id << ": " << response->message;
+      overloaded += response->error == ErrorCode::kOverloaded ? 1 : 0;
     }
     ++answered;
   }
+  if (answered < kRequests) {
+    client.socket().shutdown_send();  // unblock a sender nobody reads for
+  }
   sender.join();
-  EXPECT_EQ(answered, kRequests);
+  fx.server.shutdown();
+  ASSERT_EQ(answered, kRequests);
+  EXPECT_GE(ok, 1u);
+  EXPECT_EQ(fx.inference.counters().rejected_overload, overloaded);
+  EXPECT_EQ(fx.server.stats().immediate_errors, overloaded);
 }
 
 // -- one set of books --------------------------------------------------------

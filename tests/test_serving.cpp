@@ -382,9 +382,9 @@ TEST(Serving, SubmitShutdownRaceLeavesNoHungFuture) {
   // the moment shutdown() returns every accepted future is *already*
   // ready — a client holding one never blocks, not even briefly. The
   // submitters are staggered so some race the stop flag, some the queue
-  // stop, and some arrive after; retry credit and armed (never-firing)
-  // hedges ride along so the sweep's orphan/hedge bookkeeping is on the
-  // racing path too. Runs under TSan in CI.
+  // stop, and some arrive after; retry credit and deadlines ride along so
+  // the sweep's orphan bookkeeping and dispatch-time deadline checks are
+  // on the racing path too. Runs under TSan in CI.
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
   options.shards = 2;
@@ -412,10 +412,9 @@ TEST(Serving, SubmitShutdownRaceLeavesNoHungFuture) {
       std::this_thread::sleep_for(std::chrono::microseconds{300 * c});
       SubmitOptions submit;
       submit.max_retries = c % 2;  // odd clients carry retry credit
-      if (c % 3 == 0) {            // some arm hedges that never fire
+      if (c % 3 == 0) {  // some carry deadlines that never expire
         submit.deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds{30};
-        submit.hedge_fraction = 0.9;
       }
       for (std::size_t i = 0; i < kPerClient; ++i) {
         try {
@@ -954,7 +953,8 @@ TEST(ServingClock, OneInjectedClockPropagatesIntoAdmissionAndResilience) {
 TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
   // The server's shard-probe loop hands the SAME Request object to shard
   // after shard until one accepts; admission metadata must survive every
-  // rejection bit-for-bit or the accepting shard schedules it wrongly.
+  // rejection bit-for-bit or the accepting shard schedules it wrongly, and
+  // the promise must still be the one the client's future is tied to.
   const fp::Format fmt{8, 7};
   const auto deadline = std::chrono::steady_clock::time_point{
       std::chrono::nanoseconds{123456789}};
@@ -980,9 +980,6 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
     ASSERT_TRUE(request.deadline.has_value()) << after;
     EXPECT_EQ(*request.deadline, deadline) << after;
     EXPECT_EQ(request.retries_left, 3u) << after;
-    EXPECT_FALSE(request.hedge_copy) << after;
-    ASSERT_NE(payload.result, nullptr) << after;
-    EXPECT_FALSE(payload.result->done()) << after;
   };
 
   ShardQueue full_queue{1};
@@ -994,8 +991,19 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
   Request request = make();
   EXPECT_EQ(full_queue.try_push(request, 1), ShardQueue::Push::Full);
   expect_intact(request, "after Full");
+  // The promise still has its shared state and no future taken from it.
+  std::future<std::vector<fp::Fixed>> future =
+      std::get<ActivationRequest>(request.payload).result.get_future();
   EXPECT_EQ(stopped_queue.try_push(request, 1), ShardQueue::Push::Stopped);
   expect_intact(request, "after Stopped");
+  // ... and fulfilling it still reaches that future.
+  std::get<ActivationRequest>(request.payload)
+      .result.set_value({fp::Fixed::from_raw(5, fmt)});
+  ASSERT_EQ(future.wait_for(std::chrono::seconds{0}),
+            std::future_status::ready);
+  const std::vector<fp::Fixed> got = future.get();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].raw(), 5);
 }
 
 TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
@@ -1019,7 +1027,7 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
     request.payload = std::move(payload);
   }
   std::future<std::vector<fp::Fixed>> future =
-      std::get<ActivationRequest>(request.payload).result->get_future();
+      std::get<ActivationRequest>(request.payload).result.get_future();
 
   ShardQueue full_queue{1};
   Request filler = tagged_request(1);
@@ -1041,9 +1049,7 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
   ASSERT_EQ(group.size(), 1u);
 
   auto& payload = std::get<ActivationRequest>(group.front().payload);
-  ASSERT_TRUE(
-      payload.result->set_value(engine.evaluate(payload.function,
-                                                payload.input)));
+  payload.result.set_value(engine.evaluate(payload.function, payload.input));
   const std::vector<fp::Fixed> got = future.get();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
