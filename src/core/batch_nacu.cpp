@@ -11,7 +11,7 @@ namespace {
 
 /// Process-wide resident bytes of built activation tables, across every
 /// live BatchNacu. Auto table-mode budgets new σ/tanh tables against it:
-/// adding another HalfRange table past Options::cache_budget_bytes tips
+/// adding another HalfRange table past kCacheBudgetBytes tips
 /// the build into the PWL form instead. Builds add under their call_once;
 /// the destructor subtracts.
 std::atomic<std::size_t> g_live_table_bytes{0};
@@ -244,7 +244,7 @@ void BatchNacu::build_table(Function f, TableStore& store) const {
     const std::size_t half_bytes =
         (static_cast<std::size_t>(max_raw) + 3) * sizeof(std::int16_t);
     mode = g_live_table_bytes.load(std::memory_order_relaxed) + half_bytes >
-                   options_.cache_budget_bytes
+                   kCacheBudgetBytes
                ? TableMode::Pwl
                : TableMode::HalfRange;
   }

@@ -40,8 +40,11 @@ namespace nacu::obs {
 [[nodiscard]] bool metrics_enabled() noexcept;
 void set_metrics_enabled(bool enabled) noexcept;
 
-/// Monotonically increasing event count; always on.
-class Counter {
+/// Monotonically increasing event count; always on. Each counter owns a
+/// cache line: counters bumped by different threads (a server's submitters
+/// and its dispatchers) would otherwise share lines wherever the heap
+/// happened to place them.
+class alignas(64) Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;

@@ -18,23 +18,21 @@ std::size_t limit_for(double fraction, std::size_t capacity) {
 
 }  // namespace
 
-AdmissionController::AdmissionController(AdmissionOptions options,
-                                         std::size_t shard_capacity)
-    : options_{std::move(options)},
-      shard_capacity_{std::max<std::size_t>(1, shard_capacity)} {
+AdmissionController::AdmissionController(
+    const AdmissionOptions& options, std::size_t shard_capacity,
+    std::function<std::chrono::steady_clock::time_point()> clock)
+    : clock_{clock ? std::move(clock)
+                   : [] { return std::chrono::steady_clock::now(); }} {
+  const std::size_t capacity = std::max<std::size_t>(1, shard_capacity);
   limits_[static_cast<std::size_t>(Priority::High)] =
-      limit_for(options_.high_depth_fraction, shard_capacity_);
+      limit_for(options.high_depth_fraction, capacity);
   limits_[static_cast<std::size_t>(Priority::Normal)] =
-      limit_for(options_.normal_depth_fraction, shard_capacity_);
+      limit_for(options.normal_depth_fraction, capacity);
   limits_[static_cast<std::size_t>(Priority::BestEffort)] =
-      limit_for(options_.best_effort_depth_fraction, shard_capacity_);
-  for (const auto& [tenant, quota] : options_.quotas) {
-    buckets_[tenant] = TokenBucket{quota, now()};  // buckets start full
+      limit_for(options.best_effort_depth_fraction, capacity);
+  for (const auto& [tenant, quota] : options.quotas) {
+    buckets_[tenant] = TokenBucket{quota, clock_()};  // buckets start full
   }
-}
-
-std::chrono::steady_clock::time_point AdmissionController::now() const {
-  return options_.clock ? options_.clock() : std::chrono::steady_clock::now();
 }
 
 AdmissionController::Verdict AdmissionController::preadmit(
@@ -45,7 +43,7 @@ AdmissionController::Verdict AdmissionController::preadmit(
   if (!needs_clock) {
     return Verdict::Admit;  // the common unmetered, undeadlined fast path
   }
-  const auto at = now();
+  const auto at = clock_();
   if (options.deadline.has_value() && *options.deadline <= at) {
     return Verdict::RejectDeadline;
   }

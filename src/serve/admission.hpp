@@ -19,9 +19,10 @@
 //     tokens_per_s up to burst. An empty bucket rejects (RejectQuota).
 //     Unlisted tenants (including the default id 0) are unmetered.
 //
-// Time is injected: AdmissionOptions::clock replaces steady_clock::now for
-// both bucket refill and deadline checks, so tests drive refill rates and
-// expiry deterministically (tests/test_admission.cpp).
+// Time is injected: the controller reads the clock it is constructed with
+// (the server passes ServerOptions::clock) for both bucket refill and
+// deadline checks, so tests drive refill rates and expiry deterministically
+// (tests/test_admission.cpp).
 #pragma once
 
 #include <algorithm>
@@ -73,8 +74,6 @@ class TokenBucket {
     return true;
   }
 
-  [[nodiscard]] double tokens() const noexcept { return tokens_; }
-
  private:
   TenantQuota quota_{};
   double tokens_ = 0.0;
@@ -94,9 +93,6 @@ struct AdmissionOptions {
   /// Per-tenant token buckets, keyed by SubmitOptions::tenant. Tenants
   /// not listed are unmetered.
   std::vector<std::pair<std::uint64_t, TenantQuota>> quotas;
-  /// Clock used for bucket refill and deadline checks. Empty → the real
-  /// steady clock. Injected by tests.
-  std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
 class AdmissionController {
@@ -107,12 +103,11 @@ class AdmissionController {
     RejectQuota,     ///< tenant bucket empty
   };
 
-  AdmissionController(AdmissionOptions options, std::size_t shard_capacity);
-
-  /// The controller's notion of now (the injected clock, or the real
-  /// steady clock). The server also uses it for dispatch-time deadline
-  /// shedding so fake-clock tests are fully deterministic.
-  [[nodiscard]] std::chrono::steady_clock::time_point now() const;
+  /// @p clock is read for bucket refill and deadline checks; empty means
+  /// the real steady clock.
+  AdmissionController(
+      const AdmissionOptions& options, std::size_t shard_capacity,
+      std::function<std::chrono::steady_clock::time_point()> clock = {});
 
   /// The submission-time decision: deadline check, then token-bucket
   /// draw. Queue-depth shedding happens in ShardQueue::try_push against
@@ -124,16 +119,8 @@ class AdmissionController {
     return limits_[static_cast<std::size_t>(priority)];
   }
 
-  /// Whether any priority's limit sits below the full shard capacity —
-  /// when true, an all-shards-full rejection for that class is a priority
-  /// shed, not an overload.
-  [[nodiscard]] std::size_t shard_capacity() const noexcept {
-    return shard_capacity_;
-  }
-
  private:
-  AdmissionOptions options_;
-  std::size_t shard_capacity_;
+  std::function<std::chrono::steady_clock::time_point()> clock_;
   std::array<std::size_t, kPriorityCount> limits_{};
   std::mutex mutex_;  ///< guards buckets_ (metered tenants only)
   std::unordered_map<std::uint64_t, TokenBucket> buckets_;

@@ -7,7 +7,6 @@ namespace nacu::serve {
 
 MicroBatcher::MicroBatcher(BatcherOptions options) : options_{options} {
   options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
-  options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
   if (options_.max_wait.count() < 0) {
     options_.max_wait = std::chrono::microseconds{0};
   }

@@ -37,8 +37,8 @@ struct BatcherOptions {
   std::chrono::microseconds max_wait{200};
   /// Backpressure high-water mark: accepted-but-undispatched requests
   /// beyond this are rejected with OverloadedError. The server splits it
-  /// across shards (ceil(queue_capacity / shards) per ShardQueue); the
-  /// batcher's own full() uses it verbatim for single-queue consumers.
+  /// across shards (ceil(queue_capacity / shards) per ShardQueue), whose
+  /// try_push enforces it; the batcher itself never rejects.
   std::size_t queue_capacity = 1024;
 };
 
@@ -51,12 +51,8 @@ class MicroBatcher {
   }
   [[nodiscard]] std::size_t size() const noexcept { return pending_.size(); }
   [[nodiscard]] bool empty() const noexcept { return pending_.empty(); }
-  /// Whether the next push must be rejected (backpressure).
-  [[nodiscard]] bool full() const noexcept {
-    return pending_.size() >= options_.queue_capacity;
-  }
 
-  /// Append one accepted request. The caller has already checked full().
+  /// Append one accepted request.
   void push(Request request);
 
   /// Whether a dispatch group should flush at @p now.

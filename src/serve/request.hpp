@@ -161,16 +161,16 @@ struct LstmRequest {
 
 /// One queued unit of work plus its scheduling metadata: the admission
 /// timestamp (feeds the max_wait flush policy and the
-/// serve.request_latency_ns enqueue→complete histogram), the priority it
-/// was admitted under, and its optional deadline. Every accepted request
-/// exists as exactly one Request, moved from submit through its queue,
-/// batcher and dispatch group (and through a requeue after a shard
-/// failure), so its promise has exactly one producer.
+/// serve.request_latency_ns enqueue→complete histogram) and its optional
+/// deadline. Its priority only picks the depth limit at submit; a requeue
+/// admits against the full shard capacity. Every accepted request exists
+/// as exactly one Request, moved from submit through its queue, batcher
+/// and dispatch group (and through a requeue after a shard failure), so
+/// its promise has exactly one producer.
 struct Request {
   std::variant<ActivationRequest, SoftmaxRequest, MlpRequest, LstmRequest>
       payload;
   std::chrono::steady_clock::time_point enqueued_at{};
-  Priority priority = Priority::Normal;
   std::optional<std::chrono::steady_clock::time_point> deadline{};
   /// Remaining transparent re-enqueues after a shard failure
   /// (SubmitOptions::max_retries; decremented per requeue).

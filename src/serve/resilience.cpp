@@ -123,11 +123,6 @@ bool RetryBudget::try_draw() {
   return bucket_.try_draw(now);
 }
 
-double RetryBudget::tokens() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return bucket_.tokens();
-}
-
 void evaluate_degraded(const core::Nacu& unit, core::BatchNacu::Function f,
                        std::span<const fp::Fixed> in,
                        std::span<fp::Fixed> out) {

@@ -81,40 +81,30 @@ class InvariantChecker;
 
 namespace nacu::serve {
 
-/// Knobs for the supervisor, circuit breaker, retry budget, and live
-/// verification. Defaults keep supervision on (cheap: one mostly-sleeping
-/// thread) and per-dispatch verification off unless a fault port is armed.
-/// The stall timeout (50 ms), the Open → HalfOpen cooldown (5 ms) and the
-/// HalfOpen trial count (4) are constants in server.cpp.
+/// Knobs for the supervisor, the retry budget and fault injection.
+/// Defaults keep supervision on (cheap: one mostly-sleeping thread). The
+/// circuit's failure threshold (3), the stall timeout (50 ms), the Open →
+/// HalfOpen cooldown (5 ms) and the HalfOpen trial count (4) are constants
+/// in server.cpp, timed on ServerOptions::clock.
 struct ResilienceOptions {
   /// Run the watchdog thread. Off, the machinery is passive: heartbeats
   /// and health state still update, and poke_supervisor() performs the
   /// same pass on demand (how the fake-clock tests drive recovery).
   bool supervise = true;
-  /// Watchdog pass interval (real time — the pass itself uses `clock`).
+  /// Watchdog pass interval (real time — the pass itself reads the
+  /// serving clock).
   std::chrono::microseconds watchdog_interval{500};
-  /// Consecutive shard-level failures (detections, scrub re-verify
-  /// failures) that trip the circuit open. Dispatcher death and stalls
-  /// force it open immediately.
-  std::size_t failure_threshold = 3;
   /// Server-wide retry budget: sustained tokens per second and burst.
   /// Every transparent requeue draws one token; an empty bucket turns a
   /// retry into ShardFailedError.
   double retry_budget_per_s = 100.0;
   double retry_budget_burst = 32.0;
-  /// Verify every table-path dispatch against the golden parity
-  /// signatures even with no fault port armed (the check is cheap — one
-  /// popcount per element — but not free). Armed ports enable
-  /// verification on their shard regardless.
-  bool verify_dispatches = false;
   /// Per-shard fault ports, attached to each shard's engine at
   /// construction and re-attached on rebuild (index = shard; missing or
   /// nullptr = unarmed). Ports must be thread-safe (FaultInjector is).
-  /// Attaching a port enables per-dispatch verification on that shard.
+  /// A shard verifies every table-path dispatch exactly when it has a
+  /// port attached.
   std::vector<fault::BitFaultPort*> shard_fault_ports;
-  /// Clock for circuit cooldowns, stall timing and the retry budget.
-  /// Empty → the real steady clock. Injected by tests.
-  std::function<std::chrono::steady_clock::time_point()> clock;
   /// Test/chaos seam: called by each dispatcher at the top of every loop
   /// pass (after the heartbeat, holding no requests). Throwing simulates
   /// a dispatcher crash at a point where no group can be lost; blocking
@@ -270,11 +260,10 @@ class RetryBudget {
 
   /// Draw one token (refilled for elapsed time first); false when empty.
   [[nodiscard]] bool try_draw();
-  [[nodiscard]] double tokens() const;
 
  private:
   std::function<std::chrono::steady_clock::time_point()> clock_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   TokenBucket bucket_;
 };
 

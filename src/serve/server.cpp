@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstddef>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <type_traits>
@@ -24,13 +25,17 @@ constexpr std::chrono::milliseconds kOpenCooldown{5};
 /// Requests a HalfOpen shard admits before routing skips it again; the
 /// first cleanly executed dispatch group closes the circuit.
 constexpr std::size_t kHalfOpenTrials = 4;
+/// Consecutive shard-level failures (detections, scrub re-verify
+/// failures) that trip a Closed circuit open. Dispatcher death and stalls
+/// force it open immediately.
+constexpr std::size_t kFailureThreshold = 3;
+/// How often an idle shard re-polls neighbours for stealable work (it has
+/// no other wake-up source for work that never touches its queue). Also
+/// the real-time bound on a wait whose deadline is on an injected clock.
+constexpr std::chrono::microseconds kIdlePoll{100};
 
 std::size_t resolve_shard_count(std::size_t requested) {
-  if (requested > 0) {
-    return std::min<std::size_t>(requested, 64);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, 8);
+  return std::clamp<std::size_t>(requested, 1, 64);
 }
 
 std::size_t resolve_per_shard_capacity(const ServerOptions& options) {
@@ -42,18 +47,6 @@ std::size_t resolve_per_shard_capacity(const ServerOptions& options) {
 
 }  // namespace
 
-ServerOptions InferenceServer::normalize(ServerOptions options) {
-  if (options.clock) {
-    if (!options.admission.clock) {
-      options.admission.clock = options.clock;
-    }
-    if (!options.resilience.clock) {
-      options.resilience.clock = options.clock;
-    }
-  }
-  return options;
-}
-
 InferenceServer::Shard::Shard(const core::NacuConfig& config,
                               const core::BatchNacu::Options& batch_options,
                               const BatcherOptions& batcher_options,
@@ -62,11 +55,24 @@ InferenceServer::Shard::Shard(const core::NacuConfig& config,
       queue{capacity},
       batcher{batcher_options} {}
 
+std::vector<Request> InferenceServer::Shard::take_all() {
+  std::vector<Request> all;
+  while (!batcher.empty()) {
+    std::vector<Request> group = batcher.take_group();
+    queue.on_taken(group.size());
+    std::move(group.begin(), group.end(), std::back_inserter(all));
+  }
+  (void)queue.steal_into([&](Request&& r) { all.push_back(std::move(r)); },
+                         std::numeric_limits<std::size_t>::max());
+  return all;
+}
+
 InferenceServer::InferenceServer(const core::NacuConfig& config,
                                  ServerOptions options)
-    : options_{normalize(std::move(options))},
+    : options_{std::move(options)},
       config_{config},
-      admission_{options_.admission, resolve_per_shard_capacity(options_)},
+      admission_{options_.admission, resolve_per_shard_capacity(options_),
+                 options_.clock},
       per_shard_capacity_{resolve_per_shard_capacity(options_)},
       stamp_enqueue_time_{options_.batcher.max_wait.count() > 0} {
   const std::size_t shard_count = resolve_shard_count(options_.shards);
@@ -86,18 +92,16 @@ InferenceServer::InferenceServer(const core::NacuConfig& config,
       any_port = true;
     }
   }
-  if ((any_port || res.verify_dispatches) &&
-      shards_.front()->engine->table_cacheable()) {
-    // One golden-signature checker shared read-only by every shard's
-    // verify path. Construction runs the full-domain sweeps once.
+  if (any_port && shards_.front()->engine->table_cacheable()) {
+    // One golden-signature checker shared read-only by every armed
+    // shard's verify path. Construction runs the full-domain sweeps once.
     checker_ = std::make_unique<fault::InvariantChecker>(config);
   }
   for (auto& shard : shards_) {
-    shard->verify = checker_ != nullptr &&
-                    (shard->fault_port != nullptr || res.verify_dispatches);
+    shard->verify = checker_ != nullptr && shard->fault_port != nullptr;
   }
   retry_budget_ = std::make_unique<RetryBudget>(
-      res.retry_budget_per_s, res.retry_budget_burst, res.clock);
+      res.retry_budget_per_s, res.retry_budget_burst, options_.clock);
   if (options_.warm_tables && shards_.front()->engine->table_cacheable()) {
     for (auto& shard : shards_) {
       shard->engine->warm(Function::Sigmoid);
@@ -106,7 +110,7 @@ InferenceServer::InferenceServer(const core::NacuConfig& config,
     }
   }
   last_heartbeat_.assign(shard_count, 0);
-  last_progress_.assign(shard_count, resilience_now());
+  last_progress_.assign(shard_count, now());
   metrics_.gauge("serve.shard.count")
       .set(static_cast<std::int64_t>(shard_count));
   // Cache working set across all shards' engines (plus any other live
@@ -160,18 +164,7 @@ void InferenceServer::sweep_leftovers() {
   // orphan so the drain guarantee (every accepted future becomes ready)
   // holds unconditionally.
   for (auto& shard : shards_) {
-    std::vector<Request> orphans;
-    while (!shard->batcher.empty()) {
-      std::vector<Request> group = shard->batcher.take_group();
-      shard->queue.on_taken(group.size());
-      for (Request& r : group) {
-        orphans.push_back(std::move(r));
-      }
-    }
-    (void)shard->queue.steal_into(
-        [&](Request&& r) { orphans.push_back(std::move(r)); },
-        std::numeric_limits<std::size_t>::max());
-    for (Request& r : orphans) {
+    for (Request& r : shard->take_all()) {
       retry_exhausted_.add();
       finish(r);
       fail_request(r, std::make_exception_ptr(ShardFailedError{}));
@@ -248,11 +241,6 @@ std::size_t InferenceServer::home_shard() const noexcept {
   return static_cast<std::size_t>(token % shards_.size());
 }
 
-std::chrono::steady_clock::time_point InferenceServer::resilience_now() const {
-  return options_.resilience.clock ? options_.resilience.clock()
-                                   : std::chrono::steady_clock::now();
-}
-
 template <typename Result, typename Payload>
 std::future<Result> InferenceServer::enqueue(
     Payload payload, const SubmitOptions& submit_options) {
@@ -274,7 +262,6 @@ std::future<Result> InferenceServer::enqueue(
 
   Request request;
   request.payload = std::move(payload);
-  request.priority = submit_options.priority;
   request.deadline = submit_options.deadline;
   request.retries_left = submit_options.max_retries;
   if (stamp_enqueue_time_ || obs::metrics_enabled()) {
@@ -285,43 +272,15 @@ std::future<Result> InferenceServer::enqueue(
   }
 
   const std::size_t depth_limit = admission_.depth_limit(submit_options.priority);
-  const std::size_t shard_count = shards_.size();
-  const std::size_t start = home_shard();
-  bool circuit_skipped = false;
-  // First pass respects circuit state; when *every* push failed and some
-  // shard was skipped for its circuit, a fail-static second pass pushes
-  // anyway — a queue that may recover beats rejecting the request.
-  const auto try_route = [&](bool respect_circuit)
-      -> std::optional<std::size_t> {
-    for (std::size_t probe = 0; probe < shard_count; ++probe) {
-      const std::size_t idx = (start + probe) % shard_count;
-      Shard& shard = *shards_[idx];
-      if (respect_circuit && !shard.health.try_admit()) {
-        circuit_skipped = true;
-        continue;
-      }
-      switch (shard.queue.try_push(request, depth_limit)) {
-        case ShardQueue::Push::Ok:
-          queue_depth_high_water_.record_max(
-              static_cast<std::int64_t>(shard.queue.size()));
-          return idx;
-        case ShardQueue::Push::Stopped:
-          // stop() reaches every queue; seeing one stopped means shutdown.
-          rejected_shutdown_.add();
-          throw ShutdownError{};
-        case ShardQueue::Push::Full:
-          break;  // probe the next shard
-      }
-    }
-    return std::nullopt;
-  };
-  std::optional<std::size_t> placed = try_route(/*respect_circuit=*/true);
-  if (!placed && circuit_skipped) {
-    placed = try_route(/*respect_circuit=*/false);
-  }
-  if (placed) {
-    accepted_.add();
-    return future;
+  switch (route(request, depth_limit, home_shard())) {
+    case ShardQueue::Push::Ok:
+      accepted_.add();
+      return future;
+    case ShardQueue::Push::Stopped:
+      rejected_shutdown_.add();
+      throw ShutdownError{};
+    case ShardQueue::Push::Full:
+      break;
   }
   if (depth_limit < per_shard_capacity_) {
     // Rejected at a sub-capacity class limit: a higher-priority request
@@ -331,6 +290,37 @@ std::future<Result> InferenceServer::enqueue(
     rejected_overload_.add();
   }
   throw OverloadedError{};
+}
+
+ShardQueue::Push InferenceServer::route(Request& request,
+                                        std::size_t depth_limit,
+                                        std::size_t start) {
+  const std::size_t shard_count = shards_.size();
+  bool circuit_skipped = false;
+  for (const bool respect_circuit : {true, false}) {
+    for (std::size_t probe = 0; probe < shard_count; ++probe) {
+      Shard& shard = *shards_[(start + probe) % shard_count];
+      if (respect_circuit && !shard.health.try_admit()) {
+        circuit_skipped = true;
+        continue;
+      }
+      switch (shard.queue.try_push(request, depth_limit)) {
+        case ShardQueue::Push::Ok:
+          queue_depth_high_water_.record_max(
+              static_cast<std::int64_t>(shard.queue.size()));
+          return ShardQueue::Push::Ok;
+        case ShardQueue::Push::Stopped:
+          // stop() reaches every queue; seeing one stopped means shutdown.
+          return ShardQueue::Push::Stopped;
+        case ShardQueue::Push::Full:
+          break;  // probe the next shard
+      }
+    }
+    if (!circuit_skipped) {
+      break;  // the fail-static pass could not change the outcome
+    }
+  }
+  return ShardQueue::Push::Full;
 }
 
 std::future<std::vector<fp::Fixed>> InferenceServer::submit(
@@ -446,7 +436,7 @@ void InferenceServer::dispatcher_run(std::size_t shard_index) {
       if (!stopping && (stealing || options_.resilience.dispatch_hook)) {
         // With a dispatch hook armed, bounded waits keep the heartbeat
         // advancing (and the hook observable) even on an idle shard.
-        poll = std::chrono::steady_clock::now() + options_.steal_poll;
+        poll = std::chrono::steady_clock::now() + kIdlePoll;
       }
       switch (shard.queue.wait(poll)) {
         case ShardQueue::Wait::Work:
@@ -466,8 +456,7 @@ void InferenceServer::dispatcher_run(std::size_t shard_index) {
       // condition variable cannot wait until — bound the sleep on the
       // real clock and re-check fake time each wake instead.
       if (options_.clock) {
-        (void)shard.queue.wait(std::chrono::steady_clock::now() +
-                               options_.steal_poll);
+        (void)shard.queue.wait(std::chrono::steady_clock::now() + kIdlePoll);
       } else {
         (void)shard.queue.wait(shard.batcher.flush_deadline());
       }
@@ -490,8 +479,7 @@ void InferenceServer::on_detection(Shard& shard, std::size_t function_index) {
   shard.health.request_scrub();
   shard.health.record_detection();
   shard.group_detections += 1;
-  if (shard.health.record_failure(options_.resilience.failure_threshold,
-                                  resilience_now())) {
+  if (shard.health.record_failure(kFailureThreshold, now())) {
     circuit_opens_.add();
   }
 }
@@ -511,9 +499,9 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
     any_deadline = any_deadline || request.deadline.has_value();
   }
   if (any_deadline) {
-    const auto now = admission_.now();
+    const auto at = now();
     for (std::size_t i = 0; i < group.size(); ++i) {
-      if (group[i].deadline.has_value() && *group[i].deadline <= now) {
+      if (group[i].deadline.has_value() && *group[i].deadline <= at) {
         handled[i] = true;
         shed_deadline_.add();
         finish(group[i]);
@@ -527,7 +515,6 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
   // evaluation is position-independent, so slicing the output back apart
   // is bit-identical to per-request evaluation (the differential test's
   // central claim).
-  const std::uint32_t quarantined = shard.health.quarantined();
   for (std::size_t fi = 0; fi < core::BatchNacu::kFunctionCount; ++fi) {
     const auto f = static_cast<Function>(fi);
     std::vector<std::size_t>& members = shard.scratch_members;
@@ -554,23 +541,7 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
       shard.scratch_out.assign(total,
                                fp::Fixed::zero(shard.engine->format()));
       std::vector<fp::Fixed>& out = shard.scratch_out;
-      const bool degraded = (quarantined & (1u << fi)) != 0;
-      if (degraded) {
-        evaluate_degraded(shard.engine->unit(), f, in, out);
-      } else {
-        shard.engine->evaluate(f, in, out);
-        if (shard.verify &&
-            !verify_activation(*checker_, shard.engine->format(), f, in,
-                               out)) {
-          // A served word failed its parity signature. Quarantine first,
-          // then recompute the whole concat on the scalar path — clients
-          // get correct bits, never the corrupt ones.
-          on_detection(shard, fi);
-          evaluate_degraded(shard.engine->unit(), f, in, out);
-        }
-      }
-      if ((quarantined & (1u << fi)) != 0 ||
-          (shard.health.quarantined() & (1u << fi)) != 0) {
+      if (evaluate_activation(shard, f, in, out)) {
         degraded_requests_.add(members.size());
       }
       coalesced_elems_.record(total);
@@ -632,27 +603,12 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
         std::exception_ptr error;
         try {
           if constexpr (std::is_same_v<T, ActivationRequest>) {
-            const auto fi = static_cast<std::size_t>(r.function);
-            if ((shard.health.quarantined() & (1u << fi)) != 0) {
+            std::vector<fp::Fixed> out(
+                r.input.size(), fp::Fixed::zero(shard.engine->format()));
+            if (evaluate_activation(shard, r.function, r.input, out)) {
               degraded_requests_.add();
-              std::vector<fp::Fixed> out(
-                  r.input.size(), fp::Fixed::zero(shard.engine->format()));
-              evaluate_degraded(shard.engine->unit(), r.function, r.input,
-                                out);
-              value = std::move(out);
-            } else {
-              std::vector<fp::Fixed> out =
-                  shard.engine->evaluate(r.function, r.input);
-              if (shard.verify &&
-                  !verify_activation(*checker_, shard.engine->format(),
-                                     r.function, r.input, out)) {
-                on_detection(shard, fi);
-                degraded_requests_.add();
-                evaluate_degraded(shard.engine->unit(), r.function, r.input,
-                                  out);
-              }
-              value = std::move(out);
             }
+            value = std::move(out);
           } else if constexpr (std::is_same_v<T, SoftmaxRequest>) {
             const auto exp_fi = static_cast<std::size_t>(Function::Exp);
             if ((shard.health.quarantined() & (1u << exp_fi)) != 0) {
@@ -691,6 +647,27 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
       request.payload);
 }
 
+bool InferenceServer::evaluate_activation(Shard& shard, Function f,
+                                          std::span<const fp::Fixed> in,
+                                          std::span<fp::Fixed> out) {
+  const auto fi = static_cast<std::size_t>(f);
+  if ((shard.health.quarantined() & (1u << fi)) != 0) {
+    evaluate_degraded(shard.engine->unit(), f, in, out);
+    return true;
+  }
+  shard.engine->evaluate(f, in, out);
+  if (shard.verify &&
+      !verify_activation(*checker_, shard.engine->format(), f, in, out)) {
+    // A served word failed its parity signature. Quarantine first, then
+    // recompute on the scalar path — clients get correct bits, never the
+    // corrupt ones.
+    on_detection(shard, fi);
+    evaluate_degraded(shard.engine->unit(), f, in, out);
+    return true;
+  }
+  return false;
+}
+
 void InferenceServer::finish(const Request& request) {
   completed_.add();
   if (obs::metrics_enabled() &&
@@ -722,7 +699,7 @@ void InferenceServer::poke_supervisor() {
   if (stopping_.load(std::memory_order_acquire)) {
     return;  // shutdown's join + sweep owns recovery from here
   }
-  supervisor_pass(resilience_now());
+  supervisor_pass(now());
 }
 
 void InferenceServer::supervisor_pass(
@@ -787,17 +764,7 @@ void InferenceServer::recover_dead_shard(
   }
   // With the thread joined, the batcher and scratch are supervisor-owned.
   // Sweep everything the dead dispatcher held or would have drained.
-  std::vector<Request> orphans;
-  while (!shard.batcher.empty()) {
-    std::vector<Request> group = shard.batcher.take_group();
-    shard.queue.on_taken(group.size());
-    for (Request& r : group) {
-      orphans.push_back(std::move(r));
-    }
-  }
-  (void)shard.queue.steal_into(
-      [&](Request&& r) { orphans.push_back(std::move(r)); },
-      std::numeric_limits<std::size_t>::max());
+  std::vector<Request> orphans = shard.take_all();
   // Rebuild the engine from the pristine config — tables and all — and
   // re-attach the shard's fault port so chaos campaigns survive respawns.
   shard.engine =
@@ -862,8 +829,7 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
     shard.health.record_scrub(clean);
     if (clean) {
       shard.health.clear_quarantine(fi);
-    } else if (shard.health.record_failure(
-                   options_.resilience.failure_threshold, now)) {
+    } else if (shard.health.record_failure(kFailureThreshold, now)) {
       circuit_opens_.add();
     }
   }
@@ -879,24 +845,9 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
 void InferenceServer::requeue_or_fail(Request&& request) {
   if (request.retries_left > 0 && retry_budget_->try_draw()) {
     request.retries_left -= 1;
-    const std::size_t shard_count = shards_.size();
-    bool circuit_skipped = false;
-    for (int round = 0; round < 2; ++round) {
-      for (std::size_t idx = 0; idx < shard_count; ++idx) {
-        Shard& shard = *shards_[idx];
-        if (round == 0 && !shard.health.try_admit()) {
-          circuit_skipped = true;
-          continue;
-        }
-        if (shard.queue.try_push(request, per_shard_capacity_) ==
-            ShardQueue::Push::Ok) {
-          retried_.add();
-          return;
-        }
-      }
-      if (!circuit_skipped) {
-        break;  // second (fail-static) round could not change the outcome
-      }
+    if (route(request, per_shard_capacity_, 0) == ShardQueue::Push::Ok) {
+      retried_.add();
+      return;
     }
   }
   retry_exhausted_.add();

@@ -70,6 +70,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -88,40 +89,32 @@ struct ServerOptions {
   /// gets ceil(queue_capacity / shards).
   BatcherOptions batcher{};
   /// Engine knobs forwarded to every shard's core::BatchNacu (thread
-  /// pool, kernel backend, table/parallel thresholds, table layout mode
-  /// and cache budget). Every shard shares one policy; with the default
-  /// TableMode::Auto the shards' σ/tanh tables come up half-range and
-  /// collapse to the PWL form only once the process-wide working set
-  /// (live_table_bytes, exported as serve.table.resident_bytes) crosses
-  /// cache_budget_bytes.
+  /// pool, kernel backend, table/parallel thresholds, table layout mode).
+  /// Every shard shares one policy; with the default TableMode::Auto the
+  /// shards' σ/tanh tables come up half-range and collapse to the PWL form
+  /// only once the process-wide working set (live_table_bytes, exported as
+  /// serve.table.resident_bytes) crosses BatchNacu::kCacheBudgetBytes.
   core::BatchNacu::Options batch_options{};
   /// Build the σ/tanh/exp activation tables at construction (when the
   /// format is table-cacheable) so the first requests are not taxed with
   /// the lazy full-domain sweeps.
   bool warm_tables = true;
-  /// Dispatcher shards. 1 (the default) reproduces the single-dispatcher
-  /// behaviour exactly; 0 picks one shard per hardware thread, clamped to
-  /// [1, 8].
+  /// Dispatcher shards, clamped to [1, 64]. 1 (the default) reproduces
+  /// the single-dispatcher behaviour exactly.
   std::size_t shards = 1;
-  /// Idle shards steal queued ingress from the most loaded neighbour.
+  /// Idle shards steal queued ingress from the most loaded neighbour,
+  /// re-polling every 100 µs (kIdlePoll in server.cpp).
   bool work_stealing = true;
-  /// How often an idle shard re-polls neighbours for stealable work (it
-  /// has no other wake-up source for work that never touches its queue).
-  std::chrono::microseconds steal_poll{100};
   /// Priority depth limits, deadline policy, per-tenant quotas.
   AdmissionOptions admission{};
-  /// Supervision, circuit breaking, the retry budget, live SEU
-  /// verification (resilience.hpp).
+  /// Supervision, the retry budget, fault ports (resilience.hpp).
   ResilienceOptions resilience{};
-  /// The serving layer's single time source (empty = steady_clock). Every
-  /// time read in the layer — the enqueued_at stamp, the max_wait flush
-  /// check, dispatch-time deadline shedding, the completion-latency
-  /// histogram, circuit cooldowns, stall timing — goes through this
-  /// one seam: at construction it is propagated into admission.clock and
-  /// resilience.clock wherever those are unset, so injecting a fake clock
-  /// here puts the whole layer on fake time. (Before this seam existed,
-  /// the flush and latency paths read steady_clock directly and were
-  /// silently exempt from the fake-clock test discipline.)
+  /// The serving layer's one time source (empty = steady_clock). Every
+  /// time read in the layer goes through it: the enqueued_at stamp, the
+  /// max_wait flush check, deadline checks at submit and dispatch, quota
+  /// and retry-budget refill, the completion-latency histogram, circuit
+  /// cooldowns, stall timing and scrub failures. Injecting a fake clock
+  /// here puts the whole layer on fake time.
   std::function<std::chrono::steady_clock::time_point()> clock{};
 };
 
@@ -176,20 +169,15 @@ class InferenceServer {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  [[nodiscard]] const ServerOptions& options() const noexcept {
-    return options_;
-  }
 
   /// Now on the serving clock (ServerOptions::clock, steady_clock when
-  /// unset). Request stamping, flush ageing, and latency accounting all
-  /// read this; admission_.now() and resilience_now() agree with it by
-  /// the propagation in ServerOptions::clock's contract.
+  /// unset). Admission and the retry budget hold the same clock.
   [[nodiscard]] std::chrono::steady_clock::time_point now() const {
     return options_.clock ? options_.clock()
                           : std::chrono::steady_clock::now();
   }
 
-  /// Run one supervisor pass now, on the resilience clock: recover dead
+  /// Run one supervisor pass now, on the serving clock: recover dead
   /// dispatchers, detect stalls, perform requested scrubs, advance circuit
   /// cooldowns. The watchdog thread calls this on its
   /// interval; fake-clock tests (and the chaos bench) call it directly for
@@ -236,12 +224,6 @@ class InferenceServer {
   [[nodiscard]] Counters counters() const;
 
  private:
-  /// Propagate ServerOptions::clock into admission.clock and
-  /// resilience.clock wherever those are unset, so one injected clock
-  /// covers the whole layer (a sub-option clock set explicitly still
-  /// wins). Runs before any member reads options_.
-  [[nodiscard]] static ServerOptions normalize(ServerOptions options);
-
   /// Everything one dispatcher shard owns. Engines are per-shard so group
   /// execution never shares mutable state across shards; configured
   /// identically, they produce identical bits by the dense-table
@@ -252,6 +234,10 @@ class InferenceServer {
           const core::BatchNacu::Options& batch_options,
           const BatcherOptions& batcher_options, std::size_t capacity);
 
+    /// Move out every request the shard holds, oldest first: its private
+    /// batcher, then its inbox. Only with the dispatcher joined or dead.
+    [[nodiscard]] std::vector<Request> take_all();
+
     std::unique_ptr<core::BatchNacu> engine;
     ShardQueue queue;
     MicroBatcher batcher;  ///< dispatcher-private; fed by queue.drain_into
@@ -259,8 +245,8 @@ class InferenceServer {
     ShardHealth health;
     /// Fault port re-attached to every rebuilt engine (nullptr = unarmed).
     fault::BitFaultPort* fault_port = nullptr;
-    /// Parity-verify every table-path dispatch before release (armed port
-    /// or ResilienceOptions::verify_dispatches, and a cacheable format).
+    /// Parity-verify every table-path dispatch before release (an armed
+    /// port and a cacheable format).
     bool verify = false;
     /// Dispatcher-thread-only: detections in the current dispatch group,
     /// used to decide record_success at group end.
@@ -276,25 +262,26 @@ class InferenceServer {
     std::thread dispatcher;  ///< started after every shard exists
   };
 
-  /// Admission: preadmit (deadline/quota), stamp, then push into the home
-  /// shard or — when it is full — probe the others once around, skipping
-  /// shards whose circuit refuses (falling back to ignoring circuit state
-  /// when every healthy shard is full — fail-static). Returns the future
-  /// tied to the enqueued promise; throws instead of enqueueing on any
-  /// rejection.
+  /// Admission: preadmit (deadline/quota), stamp, then route from the
+  /// home shard. Returns the future tied to the enqueued promise; throws
+  /// instead of enqueueing on any rejection.
   template <typename Result, typename Payload>
   [[nodiscard]] std::future<Result> enqueue(Payload payload,
                                             const SubmitOptions& submit_options);
+
+  /// Push @p request into shard @p start or — when it is full — probe the
+  /// others once around, skipping shards whose circuit refuses; when every
+  /// push failed and a circuit was skipped, a fail-static pass ignores
+  /// circuit state (a queue that may recover beats a rejection). Returns
+  /// Ok, Full (moved from @p request only on Ok) or Stopped (shutdown).
+  [[nodiscard]] ShardQueue::Push route(Request& request,
+                                       std::size_t depth_limit,
+                                       std::size_t start);
 
   /// Round-robin with per-thread affinity: each submitting thread keeps
   /// hitting the same shard (its producer lock stays warm and uncontended
   /// until thread count exceeds shard count).
   [[nodiscard]] std::size_t home_shard() const noexcept;
-
-  /// Now on the resilience clock (injected fake in tests, steady_clock
-  /// otherwise). Circuit cooldowns, stall timing and the retry budget all
-  /// read this clock.
-  [[nodiscard]] std::chrono::steady_clock::time_point resilience_now() const;
 
   /// Crash barrier around dispatcher_run: an escaped exception marks the
   /// shard dead for the supervisor instead of terminating the process.
@@ -310,6 +297,13 @@ class InferenceServer {
   /// Non-coalesced execution of one request (also the error-isolation
   /// fallback when a coalesced evaluation throws), including its finish().
   void execute_one(Shard& shard, Request& request);
+  /// out = f(in) on @p shard: the scalar path while f is quarantined,
+  /// else the table path, verified before release when the shard is
+  /// armed (a detection quarantines f and recomputes on the scalar path).
+  /// Returns whether the scalar path served the result.
+  [[nodiscard]] bool evaluate_activation(Shard& shard, Function f,
+                                         std::span<const fp::Fixed> in,
+                                         std::span<fp::Fixed> out);
   /// A verify-before-release check failed on @p shard: quarantine the
   /// function, request a scrub, record the failure against the circuit.
   void on_detection(Shard& shard, std::size_t function_index);

@@ -65,8 +65,6 @@ class ShardQueue {
   ShardQueue(const ShardQueue&) = delete;
   ShardQueue& operator=(const ShardQueue&) = delete;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
   /// Accepted-but-undispatched requests (inbox + drained into the
   /// consumer's private deque). Lock-free read — exact for the owning
   /// shard's admission decisions (which re-check under the lock), advisory
@@ -178,15 +176,10 @@ class ShardQueue {
     ready_.notify_all();
   }
 
-  [[nodiscard]] bool stopped() const {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    return stopped_;
-  }
-
  private:
   const std::size_t capacity_;
   std::atomic<std::size_t> pending_{0};
-  mutable std::mutex mutex_;  ///< producer lock: inbox, stopped flag, cv
+  std::mutex mutex_;  ///< producer lock: inbox, stopped flag, cv
   std::condition_variable ready_;
   std::deque<Request> inbox_;
   bool stopped_ = false;

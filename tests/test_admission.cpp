@@ -57,7 +57,6 @@ TEST(Admission, DepthLimitsArePriorityFractionsOfShardCapacity) {
   options.normal_depth_fraction = 0.75;
   options.best_effort_depth_fraction = 0.25;
   AdmissionController controller{options, 16};
-  EXPECT_EQ(controller.shard_capacity(), 16u);
   EXPECT_EQ(controller.depth_limit(Priority::High), 16u);
   EXPECT_EQ(controller.depth_limit(Priority::Normal), 12u);
   EXPECT_EQ(controller.depth_limit(Priority::BestEffort), 4u);
@@ -78,8 +77,7 @@ TEST(Admission, TokenBucketEnforcesBurstThenRefillsAtTheConfiguredRate) {
   FakeClock clock;
   AdmissionOptions options;
   options.quotas.emplace_back(7u, TenantQuota{10.0, 3.0});  // 10/s, burst 3
-  options.clock = clock.fn();
-  AdmissionController controller{options, 16};
+  AdmissionController controller{options, 16, clock.fn()};
 
   SubmitOptions metered;
   metered.tenant = 7;
@@ -113,8 +111,7 @@ TEST(Admission, ZeroRateBucketNeverRefills) {
   FakeClock clock;
   AdmissionOptions options;
   options.quotas.emplace_back(9u, TenantQuota{0.0, 2.0});
-  options.clock = clock.fn();
-  AdmissionController controller{options, 16};
+  AdmissionController controller{options, 16, clock.fn()};
   SubmitOptions metered;
   metered.tenant = 9;
   EXPECT_EQ(controller.preadmit(metered), Verdict::Admit);
@@ -128,8 +125,7 @@ TEST(Admission, ExpiredDeadlineNeverConsumesAQuotaToken) {
   FakeClock clock;
   AdmissionOptions options;
   options.quotas.emplace_back(5u, TenantQuota{0.0, 1.0});  // exactly 1 token
-  options.clock = clock.fn();
-  AdmissionController controller{options, 16};
+  AdmissionController controller{options, 16, clock.fn()};
   clock.advance(std::chrono::seconds{1});
 
   SubmitOptions expired;
@@ -149,7 +145,9 @@ TEST(Admission, ServerRejectsAlreadyExpiredDeadlinesAtSubmit) {
   clock.advance(std::chrono::seconds{5});
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
-  options.admission.clock = clock.fn();
+  options.clock = clock.fn();
+  // Fake time stays frozen, so a partial group must not wait to age.
+  options.batcher.max_wait = std::chrono::microseconds{0};
   InferenceServer server{config, options};
 
   SubmitOptions expired;
@@ -180,7 +178,7 @@ TEST(Admission, RequestsExpiringWhileQueuedAreShedNeverDispatched) {
   ServerOptions options;
   options.batcher.max_batch = 1 << 20;
   options.batcher.max_wait = std::chrono::seconds{30};
-  options.admission.clock = clock.fn();
+  options.clock = clock.fn();
   InferenceServer server{config, options};
 
   const std::vector<fp::Fixed> input{

@@ -19,10 +19,10 @@
 //    scalar-path recompute), the function quarantines, and the
 //    supervisor's scrub heals transients (closing the circuit) while
 //    stuck-ats stay quarantined-but-correct forever;
-//  * circuit breaking — detections trip the breaker at the configured
-//    threshold, Open shards are routed around (with the fail-static
-//    fallback keeping a 1-shard server serving), cooldown moves Open to
-//    HalfOpen, and a clean trial dispatch closes it.
+//  * circuit breaking — three detections in a row trip the breaker, Open
+//    shards are routed around (with the fail-static fallback keeping a
+//    1-shard server serving), cooldown moves Open to HalfOpen, and a
+//    clean trial dispatch closes it.
 //
 // This binary also runs under the CI chaos-smoke TSan job: the hook
 // crashes, the supervisor's scrub, and the armed-port reads are the new
@@ -55,7 +55,7 @@ using fault::FaultModel;
 using fault::Surface;
 using Function = BatchNacu::Function;
 
-/// Injectable deterministic clock shared by admission + resilience.
+/// Injectable deterministic clock, handed to ServerOptions::clock.
 struct FakeClock {
   std::shared_ptr<std::atomic<std::int64_t>> ns =
       std::make_shared<std::atomic<std::int64_t>>(std::int64_t{1});
@@ -312,7 +312,7 @@ TEST(Resilience, StuckAtFaultStaysQuarantinedAfterFailedScrub) {
   EXPECT_EQ(server.counters().accepted, server.counters().completed);
 }
 
-TEST(Resilience, CircuitOpensOnDetectionAndClosesAfterScrub) {
+TEST(Resilience, CircuitOpensAtTheFailureThresholdAndClosesAfterScrub) {
   const NacuConfig config = config_for_bits(16);
   const BatchNacu direct{config};
   FaultInjector injector;
@@ -321,35 +321,51 @@ TEST(Resilience, CircuitOpensOnDetectionAndClosesAfterScrub) {
   options.shards = 1;
   options.work_stealing = false;
   options.resilience.supervise = false;
-  options.resilience.failure_threshold = 1;  // first detection trips it
   options.resilience.shard_fault_ports = {&injector};
   InferenceServer server{config, options};
 
+  // One transient SEU in each of the σ, tanh and exp tables, each on the
+  // word its request reads. No scrub runs between the requests, so every
+  // request is one more consecutive failure.
   const std::int64_t target_raw = 5;
   const auto word =
       static_cast<std::size_t>(target_raw - config.format.min_raw());
-  injector.arm(Fault{Surface::TableExp, word, 1, FaultModel::TransientSeu});
-
   const std::vector<fp::Fixed> in = make_input(config, {target_raw, -9000});
-  const std::vector<fp::Fixed> want = direct.evaluate(Function::Exp, in);
+  const struct {
+    Surface surface;
+    Function function;
+  } trips[] = {{Surface::TableSigmoid, Function::Sigmoid},
+               {Surface::TableTanh, Function::Tanh},
+               {Surface::TableExp, Function::Exp}};
+  for (const auto& trip : trips) {
+    injector.arm(Fault{trip.surface, word, 1, FaultModel::TransientSeu});
+  }
 
-  expect_bits(server.submit(Function::Exp, in).get(), want, "tripping");
-  ASSERT_TRUE(eventually([&] {
-    return server.shard_health(0).state == CircuitState::Open;
-  })) << "one detection at threshold 1 must open the circuit";
-  EXPECT_GE(server.counters().circuit_opens, 1u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(server.shard_health(0).state, CircuitState::Closed)
+        << "before failure " << i + 1;
+    const Function f = trips[i].function;
+    expect_bits(server.submit(f, in).get(), direct.evaluate(f, in),
+                "tripping");
+  }
+  // The dispatcher records the failure before it publishes the result.
+  EXPECT_EQ(server.shard_health(0).state, CircuitState::Open)
+      << "the third consecutive detection must open the circuit";
+  EXPECT_EQ(server.counters().detections, 3u);
+  EXPECT_EQ(server.counters().circuit_opens, 1u);
 
   // Open circuit, one shard: fail-static routing keeps accepting, the
   // quarantined function serves correct bits from the scalar path.
-  expect_bits(server.submit(Function::Exp, in).get(), want,
-              "serving while open");
+  expect_bits(server.submit(Function::Exp, in).get(),
+              direct.evaluate(Function::Exp, in), "serving while open");
 
-  server.poke_supervisor();  // scrub heals the transient, closes directly
+  server.poke_supervisor();  // scrub heals the transients, closes directly
   EXPECT_EQ(server.shard_health(0).state, CircuitState::Closed);
   EXPECT_EQ(server.shard_health(0).quarantined, 0u);
   EXPECT_GE(server.counters().circuit_closes, 1u);
 
-  expect_bits(server.submit(Function::Exp, in).get(), want, "recovered");
+  expect_bits(server.submit(Function::Exp, in).get(),
+              direct.evaluate(Function::Exp, in), "recovered");
   server.shutdown();
   EXPECT_EQ(server.counters().accepted, server.counters().completed);
 }
@@ -363,9 +379,10 @@ TEST(Resilience, StallRedistributesQueuedWorkToHealthyShards) {
   ServerOptions options;
   options.shards = 2;
   options.work_stealing = false;
-  options.admission.clock = clock.fn();
+  options.clock = clock.fn();
+  // Fake time stays frozen between ticks, so partial groups must not age.
+  options.batcher.max_wait = std::chrono::microseconds{0};
   options.resilience.supervise = false;
-  options.resilience.clock = clock.fn();
   options.resilience.dispatch_hook = [&gate](std::size_t) {
     while (gate.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::microseconds{100});
@@ -415,9 +432,10 @@ TEST(Resilience, OpenCircuitHalfOpensAfterCooldownAndClosesOnCleanTrial) {
   ServerOptions options;
   options.shards = 1;
   options.work_stealing = false;
-  options.admission.clock = clock.fn();
+  options.clock = clock.fn();
+  // Fake time stays frozen between ticks, so partial groups must not age.
+  options.batcher.max_wait = std::chrono::microseconds{0};
   options.resilience.supervise = false;
-  options.resilience.clock = clock.fn();
   options.resilience.dispatch_hook = [&kill](std::size_t) {
     if (kill.load(std::memory_order_acquire)) {
       throw std::runtime_error{"chaos: injected dispatcher crash"};

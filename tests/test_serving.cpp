@@ -673,7 +673,6 @@ TEST(Serving, WorkStealingRebalancesASingleThreadBurst) {
   options.batcher.max_batch = 2;
   options.batcher.max_wait = std::chrono::microseconds{0};
   options.batcher.queue_capacity = 1 << 12;
-  options.steal_poll = std::chrono::microseconds{20};
   InferenceServer server{config, options};
 
   const BatchNacu direct{config};
@@ -712,7 +711,6 @@ TEST(Serving, ShutdownRacesBurstyUnbalancedSubmittersAcrossShards) {
     options.batcher.max_batch = 8;
     options.batcher.max_wait = std::chrono::microseconds{100};
     options.batcher.queue_capacity = 1 << 12;
-    options.steal_poll = std::chrono::microseconds{50};
     InferenceServer server{config, options};
 
     constexpr std::size_t kClients = 5;
@@ -802,18 +800,13 @@ TEST(Serving, ServingMetricsArePopulated) {
   obs::set_metrics_enabled(false);
 }
 
-// --- The one-clock seam (ServerOptions::clock) ---------------------------
+// --- The one clock (ServerOptions::clock) --------------------------------
 //
-// Before the seam existed the serving layer ran on two clocks: admission
-// and resilience read the injectable clocks, but the enqueued_at stamp and
-// the dispatcher's flush check read steady_clock directly — which silently
-// exempted the max_wait flush policy and dispatch-time deadline shedding
-// from the fake-clock test discipline. These tests are exactly the ones
-// that were impossible to write.
+// The max_wait flush policy and dispatch-time deadline shedding read the
+// same injected clock as admission, so fake time drives them too.
 
-/// Injectable deterministic clock (same idiom as tests/test_resilience.cpp);
-/// here it is handed to ServerOptions::clock, which propagates it into
-/// admission and resilience, so ONE clock drives the whole layer.
+/// Injectable deterministic clock (same idiom as tests/test_resilience.cpp),
+/// handed to ServerOptions::clock: the one clock of the whole layer.
 struct FakeClock {
   std::shared_ptr<std::atomic<std::int64_t>> ns =
       std::make_shared<std::atomic<std::int64_t>>(std::int64_t{1});
@@ -928,26 +921,6 @@ TEST(ServingClock, DispatchTimeDeadlineShedRunsOnTheSameFakeClock) {
   EXPECT_EQ(counters.completed, 1u);  // shed still fulfils the future
 }
 
-TEST(ServingClock, OneInjectedClockPropagatesIntoAdmissionAndResilience) {
-  FakeClock clock;
-  ServerOptions options;
-  options.clock = clock.fn();
-  const ServerOptions normalized = [&] {
-    const NacuConfig config = config_for_bits(16);
-    ServerOptions copy = options;
-    copy.resilience.supervise = false;
-    InferenceServer server{config, copy};
-    return server.options();
-  }();
-  // The server's stored options carry the propagated clocks: all three
-  // seams read the same cell.
-  ASSERT_TRUE(static_cast<bool>(normalized.admission.clock));
-  ASSERT_TRUE(static_cast<bool>(normalized.resilience.clock));
-  clock.advance(std::chrono::nanoseconds{41});
-  EXPECT_EQ(normalized.admission.clock(), clock.now());
-  EXPECT_EQ(normalized.resilience.clock(), clock.now());
-}
-
 // --- ShardQueue: the moved-only-on-Ok contract ---------------------------
 
 TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
@@ -965,7 +938,6 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
     payload.input = {fp::Fixed::from_raw(-301, fmt),
                      fp::Fixed::from_raw(77, fmt)};
     request.payload = std::move(payload);
-    request.priority = Priority::High;
     request.deadline = deadline;
     request.retries_left = 3;
     return request;
@@ -976,7 +948,6 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
     EXPECT_EQ(payload.input[0].raw(), -301) << after;
     EXPECT_EQ(payload.input[1].raw(), 77) << after;
     EXPECT_EQ(payload.function, Function::Exp) << after;
-    EXPECT_EQ(request.priority, Priority::High) << after;
     ASSERT_TRUE(request.deadline.has_value()) << after;
     EXPECT_EQ(*request.deadline, deadline) << after;
     EXPECT_EQ(request.retries_left, 3u) << after;

@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -698,6 +699,56 @@ TEST(SimdDifferential, TableModesLandOnTheirCompressedLayouts) {
   // The coefficient form is LUT-sized, not sample-sized.
   EXPECT_LT(pwl.table_resident_bytes(BatchNacu::Function::Sigmoid),
             half.table_resident_bytes(BatchNacu::Function::Sigmoid) / 8);
+}
+
+TEST(SimdDifferential, AutoModeFoldsSigmoidUntilTheCacheBudgetThenUsesPwl) {
+  // TableMode::Auto budgets new σ/tanh tables against the process-wide
+  // resident total: a HalfRange table that would push it past
+  // kCacheBudgetBytes takes the PWL form instead. Live engines keep their
+  // tables resident, so building Auto engines one after another must cross
+  // that switch — and every engine, on either side of it, must serve the
+  // Dense engine's bits over the whole domain.
+  constexpr BatchNacu::Function kSigmoid = BatchNacu::Function::Sigmoid;
+  const NacuConfig config = core::config_for_bits(16);
+  const std::vector<fp::Fixed> xs = full_domain(config.format);
+  BatchNacu::Options dense_options;
+  dense_options.table_mode = BatchNacu::TableMode::Dense;
+  const BatchNacu dense{config, dense_options};
+  const std::vector<fp::Fixed> want = dense.evaluate(kSigmoid, xs);
+
+  std::size_t half_bytes = 0;
+  {
+    BatchNacu::Options half_options;
+    half_options.table_mode = BatchNacu::TableMode::HalfRange;
+    const BatchNacu half{config, half_options};
+    half.warm(kSigmoid);
+    ASSERT_EQ(half.table_kind(kSigmoid), simd::TableKind::HalfSigmoid);
+    half_bytes = half.table_resident_bytes(kSigmoid);
+  }
+
+  std::vector<std::unique_ptr<BatchNacu>> engines;
+  std::size_t folded = 0;
+  bool crossed = false;
+  while (!crossed) {
+    ASSERT_LT(engines.size(), 256u) << "the budget was never crossed";
+    const std::size_t before = BatchNacu::live_table_bytes();
+    crossed = before + half_bytes > BatchNacu::kCacheBudgetBytes;
+    const BatchNacu& engine =
+        *engines.emplace_back(std::make_unique<BatchNacu>(config));
+    engine.warm(kSigmoid);
+    EXPECT_EQ(engine.table_kind(kSigmoid),
+              crossed ? simd::TableKind::Pwl : simd::TableKind::HalfSigmoid)
+        << "engine " << engines.size() << " built at " << before
+        << " resident bytes";
+    folded += crossed ? 0 : 1;
+    const std::vector<fp::Fixed> got = engine.evaluate(kSigmoid, xs);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      mismatches += got[i].raw() != want[i].raw() ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << "engine " << engines.size();
+  }
+  EXPECT_GT(folded, 0u) << "no engine was built under the budget";
 }
 
 TEST(SimdDifferential, FusedSoftmaxBitIdenticalAcrossBackendsAndConfigs) {
