@@ -22,7 +22,6 @@
 #include "bench_json.hpp"
 #include "fault/campaign.hpp"
 #include "nn/quantized_mlp.hpp"
-#include "simd/dispatch.hpp"
 
 namespace {
 
@@ -55,7 +54,6 @@ int main(int argc, char** argv) {
   const std::size_t model_trials = std::min<std::size_t>(trials, 3000);
   benchjson::Writer writer{"nacu-bench-fault-v1"};
   const std::string fmt_name = core::config_for_bits(16).format.to_string();
-  const char* backend = simd::backend_name(simd::active_backend());
 
   std::printf("=== (1) randomized campaign, Q4.11, all surfaces/models ===\n");
   {
@@ -76,8 +74,6 @@ int main(int argc, char** argv) {
     writer.add(benchjson::Record{}
                    .add("op", "campaign-all-models")
                    .add("format", fmt_name)
-                   .add("backend", backend)
-                   .add("threads", core::ThreadPool::shared().size())
                    .add("trials", report.trials)
                    .add("trials_per_s",
                         static_cast<double>(report.trials) / secs)
@@ -96,7 +92,6 @@ int main(int argc, char** argv) {
     writer.add(benchjson::Record{}
                    .add("op", op_name)
                    .add("format", fmt_name)
-                   .add("backend", backend)
                    .add("trials", model_trials)
                    .add("detection_coverage", coverage));
   }
@@ -177,7 +172,6 @@ int main(int argc, char** argv) {
       writer.add(benchjson::Record{}
                      .add("op", "mlp-accuracy-stuck-at")
                      .add("format", config.format.to_string())
-                     .add("backend", backend)
                      .add("faults", count)
                      .add("accuracy", stuck_acc)
                      .add("clean_accuracy", clean_acc));

@@ -452,12 +452,6 @@ int main(int argc, char** argv) {
       if (simd::avx2_available()) {
         sweep_backends.emplace_back(simd::Backend::Avx2, "avx2");
       }
-      if (simd::avx512_available()) {
-        sweep_backends.emplace_back(simd::Backend::Avx512, "avx512");
-      }
-      if (simd::neon_available()) {
-        sweep_backends.emplace_back(simd::Backend::Neon, "neon");
-      }
       // Small chunks force frequent engine hand-offs: a mode whose live
       // tables exceed the L2 re-faults lines on every visit, one that fits
       // streams at full gather speed after the first round.

@@ -31,10 +31,6 @@ void count_batch(std::size_t n, bool table, simd::Backend backend) {
       obs::counter("core.batch_nacu.scalar_fallback_elems");
   static obs::Counter& avx2_batches =
       obs::counter("core.batch_nacu.backend_avx2_batches");
-  static obs::Counter& avx512_batches =
-      obs::counter("core.batch_nacu.backend_avx512_batches");
-  static obs::Counter& neon_batches =
-      obs::counter("core.batch_nacu.backend_neon_batches");
   static obs::Counter& scalar_backend_batches =
       obs::counter("core.batch_nacu.backend_scalar_batches");
   (table ? table_batches : scalar_batches).add();
@@ -42,12 +38,6 @@ void count_batch(std::size_t n, bool table, simd::Backend backend) {
   switch (backend) {
     case simd::Backend::Avx2:
       avx2_batches.add();
-      break;
-    case simd::Backend::Avx512:
-      avx512_batches.add();
-      break;
-    case simd::Backend::Neon:
-      neon_batches.add();
       break;
     case simd::Backend::Scalar:
       scalar_backend_batches.add();

@@ -13,14 +13,6 @@ std::atomic<int> g_override{-1};
 
 }  // namespace
 
-bool avx2_compiled() noexcept {
-#if defined(NACU_HAVE_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool avx2_available() noexcept {
 #if defined(NACU_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
   static const bool supported = __builtin_cpu_supports("avx2") != 0;
@@ -30,65 +22,14 @@ bool avx2_available() noexcept {
 #endif
 }
 
-bool avx512_compiled() noexcept {
-#if defined(NACU_HAVE_AVX512)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool avx512_available() noexcept {
-#if defined(NACU_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
-  // The kernels use F (gathers, 512-bit integer ALU) and BW (16-bit
-  // loads/stores in zmm); both must be present.
-  static const bool supported = __builtin_cpu_supports("avx512f") != 0 &&
-                                __builtin_cpu_supports("avx512bw") != 0;
-  return supported;
-#else
-  return false;
-#endif
-}
-
-bool neon_compiled() noexcept {
-#if defined(NACU_HAVE_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool neon_available() noexcept {
-  // Advanced SIMD is an architectural requirement of AArch64: if the TU
-  // compiled, the host can run it.
-  return neon_compiled();
-}
-
 Backend detect_backend() noexcept {
-  if (const char* env = std::getenv("NACU_BACKEND")) {
-    if (std::strcmp(env, "scalar") == 0) {
-      return Backend::Scalar;
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      return resolve(Backend::Avx2);
-    }
-    if (std::strcmp(env, "avx512") == 0) {
-      return resolve(Backend::Avx512);
-    }
-    if (std::strcmp(env, "neon") == 0) {
-      return resolve(Backend::Neon);
-    }
+  // `scalar` is the only value that changes the pick: `avx2`, like an
+  // unset or unknown value, asks for AVX2 where it can run.
+  const char* env = std::getenv("NACU_BACKEND");
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) {
+    return Backend::Scalar;
   }
-  if (avx512_available()) {
-    return Backend::Avx512;
-  }
-  if (avx2_available()) {
-    return Backend::Avx2;
-  }
-  if (neon_available()) {
-    return Backend::Neon;
-  }
-  return Backend::Scalar;
+  return resolve(Backend::Avx2);
 }
 
 Backend active_backend() noexcept {
@@ -110,13 +51,7 @@ void clear_backend_override() noexcept {
 }
 
 Backend resolve(Backend requested) noexcept {
-  if (requested == Backend::Avx512 && !avx512_available()) {
-    requested = Backend::Avx2;
-  }
   if (requested == Backend::Avx2 && !avx2_available()) {
-    return Backend::Scalar;
-  }
-  if (requested == Backend::Neon && !neon_available()) {
     return Backend::Scalar;
   }
   return requested;
@@ -128,10 +63,6 @@ const char* backend_name(Backend backend) noexcept {
       return "scalar";
     case Backend::Avx2:
       return "avx2";
-    case Backend::Avx512:
-      return "avx512";
-    case Backend::Neon:
-      return "neon";
   }
   return "?";
 }

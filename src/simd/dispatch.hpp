@@ -1,24 +1,20 @@
 // Runtime kernel-backend dispatch for the SIMD layer.
 //
-// The SIMD kernels (simd/kernels.hpp) come in several implementations: a
-// portable scalar one that every build carries, and per-ISA ones compiled
-// into their own translation units with the matching -m flags (so the
-// rest of the binary stays generic):
-//
-//   kernels_avx2.cpp    -mavx2                  x86-64
-//   kernels_avx512.cpp  -mavx512f -mavx512bw    x86-64
-//   kernels_neon.cpp    (baseline)              aarch64
+// The SIMD kernels (simd/kernels.hpp) come in two implementations: the
+// portable scalar loops that every build carries (the reference, and the
+// only path on a host without AVX2), and AVX2 versions compiled into their
+// own translation unit, kernels_avx2.cpp, with -mavx2 (so the rest of the
+// binary stays generic).
 //
 // Which one runs is decided *once*, at startup, from CPUID — never per
 // element — and every kernel entry point takes the resolved Backend so
 // hot loops carry no feature-test branches.
 //
 // Selection order:
-//   1. `NACU_BACKEND=scalar|avx2|avx512|neon` environment override
-//      (clamped to what the CPU/build actually supports),
-//   2. CPUID: AVX-512 when the host supports F+BW and the build carries
-//      the kernels, else AVX2, else NEON (aarch64 builds), else scalar.
-//   3. scalar fallback everywhere else.
+//   1. `NACU_BACKEND=scalar|avx2` environment override (avx2 is clamped to
+//      what the CPU/build actually supports; any other value is ignored),
+//   2. CPUID: AVX2 when the host supports it and the build carries the
+//      kernels, else scalar.
 //
 // Tests and benches can pin the process-wide default with
 // set_active_backend() to run the same suite over both implementations.
@@ -34,31 +30,11 @@ namespace nacu::simd {
 enum class Backend : std::uint8_t {
   Scalar,  ///< portable C++ loops, bit-identical reference implementation
   Avx2,    ///< AVX2 gather/fused kernels (falls back to Scalar if absent)
-  Avx512,  ///< AVX-512F/BW masked-gather kernels (falls back to Avx2)
-  Neon,    ///< aarch64 NEON kernels (falls back to Scalar on x86)
 };
 
-/// Whether this binary was built with the AVX2 kernels at all
-/// (-DNACU_FORCE_SCALAR=ON or a non-x86 target compiles them out).
-[[nodiscard]] bool avx2_compiled() noexcept;
-
 /// Whether the AVX2 kernels are compiled in AND the host CPU reports AVX2.
+/// -DNACU_FORCE_SCALAR=ON or a non-x86 target compiles them out.
 [[nodiscard]] bool avx2_available() noexcept;
-
-/// Whether this binary carries the AVX-512 kernels (-mavx512f -mavx512bw
-/// accepted by the compiler, x86-64 target, NACU_FORCE_SCALAR off).
-[[nodiscard]] bool avx512_compiled() noexcept;
-
-/// AVX-512 kernels compiled in AND the host reports AVX512F + AVX512BW.
-[[nodiscard]] bool avx512_available() noexcept;
-
-/// Whether this binary carries the NEON kernels (aarch64 target only;
-/// NEON is baseline there, so compiled == available).
-[[nodiscard]] bool neon_compiled() noexcept;
-
-/// NEON kernels compiled in (always available when compiled: NEON is
-/// mandatory on aarch64).
-[[nodiscard]] bool neon_available() noexcept;
 
 /// Probe the environment + CPU and pick the best backend (no caching).
 [[nodiscard]] Backend detect_backend() noexcept;
@@ -76,9 +52,8 @@ void set_active_backend(Backend backend) noexcept;
 /// Drop a set_active_backend() override, returning to CPUID detection.
 void clear_backend_override() noexcept;
 
-/// Clamp a requested backend to the best one that can actually run
-/// (Avx512 -> Avx2 -> Scalar, Neon -> Scalar). Kernel entry points apply
-/// this themselves.
+/// Clamp a requested backend to one that can actually run (Avx2 -> Scalar
+/// when AVX2 is absent). Kernel entry points apply this themselves.
 [[nodiscard]] Backend resolve(Backend requested) noexcept;
 
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;

@@ -1,10 +1,9 @@
 // Scalar reference implementations + backend dispatch for simd/kernels.hpp.
 //
-// The scalar loops here ARE the semantics: the vector TUs (kernels_avx2.cpp,
-// kernels_avx512.cpp, kernels_neon.cpp) must match them bit-for-bit, and the
-// differential tests compare all of them over the exhaustive input domain.
-// Keep these loops boring and obviously equivalent to the Fixed-API
-// formulations they replace.
+// The scalar loops here ARE the semantics: the AVX2 TU (kernels_avx2.cpp)
+// must match them bit-for-bit, and the differential tests compare both over
+// the exhaustive input domain. Keep these loops boring and obviously
+// equivalent to the Fixed-API formulations they replace.
 //
 // The half-range reconstruct is everywhere the same branch-free select:
 //   v   = entries[|raw|]            (|min_raw| lands on the extra slot)
@@ -59,93 +58,6 @@ void qgemm_accumulate_avx2(const std::int16_t* packed, std::size_t tiles,
                            std::int32_t* acc, int fb, std::int32_t acc_min,
                            std::int32_t acc_max);
 void conv3x3_mac_row_avx2(const std::int32_t* row0, const std::int32_t* row1,
-                          const std::int32_t* row2,
-                          const std::int32_t* filter9, std::size_t out_cols,
-                          int fb, std::int32_t acc_min, std::int32_t acc_max,
-                          std::int32_t* acc);
-}  // namespace detail
-#endif
-
-#if defined(NACU_HAVE_AVX512)
-namespace detail {
-// Implemented in kernels_avx512.cpp (-mavx512f -mavx512bw). Same block
-// contract as the AVX2 set, 16 lanes per step; the i32 kernels use masked
-// gathers/stores and need no scalar tail at all.
-std::size_t table_lookup_fixed_avx512(const std::int16_t* table,
-                                      std::int64_t fmt_bits,
-                                      std::int64_t min_raw, const char* in,
-                                      char* out, std::size_t n);
-std::size_t table_lookup_fixed_avx512_half(const std::int16_t* table,
-                                           std::int64_t fmt_bits,
-                                           std::int64_t one_raw,
-                                           const char* in, char* out,
-                                           std::size_t n);
-std::size_t table_lookup_raw_avx512(const std::int16_t* table,
-                                    std::int64_t min_raw,
-                                    std::int64_t max_raw,
-                                    const std::int64_t* in, std::int64_t* out,
-                                    std::size_t n);
-std::size_t table_lookup_raw_avx512_half(const std::int16_t* table,
-                                         std::int64_t one_raw,
-                                         std::int64_t min_raw,
-                                         std::int64_t max_raw,
-                                         const std::int64_t* in,
-                                         std::int64_t* out, std::size_t n);
-void table_lookup_i32_avx512(const std::int16_t* table,
-                             const std::int32_t* in, std::int32_t* out,
-                             std::size_t n);
-void table_lookup_i32_avx512_half(const std::int16_t* table,
-                                  std::int64_t one_raw, std::int64_t min_raw,
-                                  const std::int32_t* in, std::int32_t* out,
-                                  std::size_t n);
-void qgemm_accumulate_avx512(const std::int16_t* packed, std::size_t tiles,
-                             std::size_t in_dim, const std::int32_t* x,
-                             std::int32_t* acc, int fb, std::int32_t acc_min,
-                             std::int32_t acc_max);
-void conv3x3_mac_row_avx512(const std::int32_t* row0,
-                            const std::int32_t* row1,
-                            const std::int32_t* row2,
-                            const std::int32_t* filter9, std::size_t out_cols,
-                            int fb, std::int32_t acc_min,
-                            std::int32_t acc_max, std::int32_t* acc);
-}  // namespace detail
-#endif
-
-#if defined(NACU_HAVE_NEON)
-namespace detail {
-// Implemented in kernels_neon.cpp (aarch64 only; Advanced SIMD is baseline
-// there, so no extra -m flags). NEON has no gather — the lookup kernels
-// load lanes individually and vectorize the reconstruct/pack, while qgemm
-// and conv3x3 are fully vectorized.
-std::size_t table_lookup_fixed_neon(const std::int16_t* table,
-                                    std::int64_t fmt_bits,
-                                    std::int64_t min_raw, const char* in,
-                                    char* out, std::size_t n);
-std::size_t table_lookup_fixed_neon_half(const std::int16_t* table,
-                                         std::int64_t fmt_bits,
-                                         std::int64_t one_raw, const char* in,
-                                         char* out, std::size_t n);
-std::size_t table_lookup_raw_neon(const std::int16_t* table,
-                                  std::int64_t min_raw, std::int64_t max_raw,
-                                  const std::int64_t* in, std::int64_t* out,
-                                  std::size_t n);
-std::size_t table_lookup_raw_neon_half(const std::int16_t* table,
-                                       std::int64_t one_raw,
-                                       std::int64_t min_raw,
-                                       std::int64_t max_raw,
-                                       const std::int64_t* in,
-                                       std::int64_t* out, std::size_t n);
-void table_lookup_i32_neon(const std::int16_t* table, const std::int32_t* in,
-                           std::int32_t* out, std::size_t n);
-void table_lookup_i32_neon_half(const std::int16_t* table,
-                                std::int64_t one_raw, std::int64_t min_raw,
-                                const std::int32_t* in, std::int32_t* out,
-                                std::size_t n);
-void qgemm_accumulate_neon(const std::int16_t* packed, std::size_t tiles,
-                           std::size_t in_dim, const std::int32_t* x,
-                           std::int32_t* acc, int fb, std::int32_t acc_min,
-                           std::int32_t acc_max);
-void conv3x3_mac_row_neon(const std::int32_t* row0, const std::int32_t* row1,
                           const std::int32_t* row2,
                           const std::int32_t* filter9, std::size_t out_cols,
                           int fb, std::int32_t acc_min, std::int32_t acc_max,
@@ -465,18 +377,6 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
   const bool half = view.kind != TableKind::Dense;
   const std::int64_t one = half_one(view);
   std::size_t done = 0;
-#if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512 && layout_ok) {
-    done = half ? detail::table_lookup_fixed_avx512_half(
-                      view.entries, format_bits(fmt), one,
-                      reinterpret_cast<const char*>(in),
-                      reinterpret_cast<char*>(out), n)
-                : detail::table_lookup_fixed_avx512(
-                      view.entries, format_bits(fmt), fmt.min_raw(),
-                      reinterpret_cast<const char*>(in),
-                      reinterpret_cast<char*>(out), n);
-  }
-#endif
 #if defined(NACU_HAVE_AVX2)
   if (backend == Backend::Avx2 && layout_ok) {
     done = half ? detail::table_lookup_fixed_avx2_half(
@@ -488,21 +388,7 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
                       reinterpret_cast<const char*>(in),
                       reinterpret_cast<char*>(out), n);
   }
-#endif
-#if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon && layout_ok) {
-    done = half ? detail::table_lookup_fixed_neon_half(
-                      view.entries, format_bits(fmt), one,
-                      reinterpret_cast<const char*>(in),
-                      reinterpret_cast<char*>(out), n)
-                : detail::table_lookup_fixed_neon(
-                      view.entries, format_bits(fmt), fmt.min_raw(),
-                      reinterpret_cast<const char*>(in),
-                      reinterpret_cast<char*>(out), n);
-  }
-#endif
-#if !defined(NACU_HAVE_AVX2) && !defined(NACU_HAVE_AVX512) && \
-    !defined(NACU_HAVE_NEON)
+#else
   (void)format_bits;
 #endif
   if (half) {
@@ -512,14 +398,6 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
   }
   return done + table_lookup_fixed_scalar(view.entries, fmt, in + done,
                                           out + done, n - done);
-}
-
-std::size_t table_lookup_fixed(Backend backend, const std::int16_t* table,
-                               fp::Format fmt, const fp::Fixed* in,
-                               fp::Fixed* out, std::size_t n) {
-  TableView view;
-  view.entries = table;
-  return table_lookup_fixed(backend, view, fmt, in, out, n);
 }
 
 std::size_t table_lookup_raw(Backend backend, const TableView& view,
@@ -533,15 +411,6 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
   const bool half = view.kind != TableKind::Dense;
   const std::int64_t one = half_one(view);
   std::size_t done = 0;
-#if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512) {
-    done = half ? detail::table_lookup_raw_avx512_half(view.entries, one,
-                                                       min_raw, max_raw, in,
-                                                       out, n)
-                : detail::table_lookup_raw_avx512(view.entries, min_raw,
-                                                  max_raw, in, out, n);
-  }
-#endif
 #if defined(NACU_HAVE_AVX2)
   if (backend == Backend::Avx2) {
     done = half ? detail::table_lookup_raw_avx2_half(view.entries, one,
@@ -550,18 +419,7 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
                 : detail::table_lookup_raw_avx2(view.entries, min_raw,
                                                 max_raw, in, out, n);
   }
-#endif
-#if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon) {
-    done = half ? detail::table_lookup_raw_neon_half(view.entries, one,
-                                                     min_raw, max_raw, in,
-                                                     out, n)
-                : detail::table_lookup_raw_neon(view.entries, min_raw,
-                                                max_raw, in, out, n);
-  }
-#endif
-#if !defined(NACU_HAVE_AVX2) && !defined(NACU_HAVE_AVX512) && \
-    !defined(NACU_HAVE_NEON)
+#else
   (void)backend;
 #endif
   if (half) {
@@ -573,15 +431,6 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
                                         in + done, out + done, n - done);
 }
 
-std::size_t table_lookup_raw(Backend backend, const std::int16_t* table,
-                             std::int64_t min_raw, std::int64_t max_raw,
-                             const std::int64_t* in, std::int64_t* out,
-                             std::size_t n) {
-  TableView view;
-  view.entries = table;
-  return table_lookup_raw(backend, view, min_raw, max_raw, in, out, n);
-}
-
 void table_lookup_i32(Backend backend, const TableView& view,
                       std::int64_t min_raw, const std::int32_t* in,
                       std::int32_t* out, std::size_t n) {
@@ -591,17 +440,6 @@ void table_lookup_i32(Backend backend, const TableView& view,
   }
   const bool half = view.kind != TableKind::Dense;
   const std::int64_t one = half_one(view);
-#if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512) {
-    if (half) {
-      detail::table_lookup_i32_avx512_half(view.entries, one, min_raw, in,
-                                           out, n);
-    } else {
-      detail::table_lookup_i32_avx512(view.entries, in, out, n);
-    }
-    return;
-  }
-#endif
 #if defined(NACU_HAVE_AVX2)
   if (backend == Backend::Avx2) {
     if (half) {
@@ -612,20 +450,7 @@ void table_lookup_i32(Backend backend, const TableView& view,
     }
     return;
   }
-#endif
-#if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon) {
-    if (half) {
-      detail::table_lookup_i32_neon_half(view.entries, one, min_raw, in, out,
-                                         n);
-    } else {
-      detail::table_lookup_i32_neon(view.entries, in, out, n);
-    }
-    return;
-  }
-#endif
-#if !defined(NACU_HAVE_AVX2) && !defined(NACU_HAVE_AVX512) && \
-    !defined(NACU_HAVE_NEON)
+#else
   (void)backend;
 #endif
   if (half) {
@@ -635,41 +460,17 @@ void table_lookup_i32(Backend backend, const TableView& view,
   }
 }
 
-void table_lookup_i32(Backend backend, const std::int16_t* table,
-                      const std::int32_t* in, std::int32_t* out,
-                      std::size_t n) {
-  TableView view;
-  view.entries = table;
-  table_lookup_i32(backend, view, 0, in, out, n);
-}
-
 void qgemm_accumulate(Backend backend, const std::int16_t* packed,
                       std::size_t tiles, std::size_t in_dim,
                       const std::int32_t* x, std::int32_t* acc, int fb,
                       std::int32_t acc_min, std::int32_t acc_max) {
-#if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512) {
-    detail::qgemm_accumulate_avx512(packed, tiles, in_dim, x, acc, fb,
-                                    acc_min, acc_max);
-    return;
-  }
-#endif
 #if defined(NACU_HAVE_AVX2)
   if (backend == Backend::Avx2) {
     detail::qgemm_accumulate_avx2(packed, tiles, in_dim, x, acc, fb, acc_min,
                                   acc_max);
     return;
   }
-#endif
-#if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon) {
-    detail::qgemm_accumulate_neon(packed, tiles, in_dim, x, acc, fb, acc_min,
-                                  acc_max);
-    return;
-  }
-#endif
-#if !defined(NACU_HAVE_AVX2) && !defined(NACU_HAVE_AVX512) && \
-    !defined(NACU_HAVE_NEON)
+#else
   (void)backend;
 #endif
   qgemm_accumulate_scalar(packed, tiles, in_dim, x, acc, fb, acc_min,
@@ -681,29 +482,13 @@ void conv3x3_mac_row(Backend backend, const std::int32_t* row0,
                      const std::int32_t* filter9, std::size_t out_cols,
                      int fb, std::int32_t acc_min, std::int32_t acc_max,
                      std::int32_t* acc) {
-#if defined(NACU_HAVE_AVX512)
-  if (backend == Backend::Avx512) {
-    detail::conv3x3_mac_row_avx512(row0, row1, row2, filter9, out_cols, fb,
-                                   acc_min, acc_max, acc);
-    return;
-  }
-#endif
 #if defined(NACU_HAVE_AVX2)
   if (backend == Backend::Avx2) {
     detail::conv3x3_mac_row_avx2(row0, row1, row2, filter9, out_cols, fb,
                                  acc_min, acc_max, acc);
     return;
   }
-#endif
-#if defined(NACU_HAVE_NEON)
-  if (backend == Backend::Neon) {
-    detail::conv3x3_mac_row_neon(row0, row1, row2, filter9, out_cols, fb,
-                                 acc_min, acc_max, acc);
-    return;
-  }
-#endif
-#if !defined(NACU_HAVE_AVX2) && !defined(NACU_HAVE_AVX512) && \
-    !defined(NACU_HAVE_NEON)
+#else
   (void)backend;
 #endif
   conv3x3_mac_row_scalar(row0, row1, row2, filter9, out_cols, fb, acc_min,

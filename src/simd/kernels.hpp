@@ -1,12 +1,11 @@
 // Vectorizable kernels behind the Backend dispatch (simd/dispatch.hpp).
 //
-// Each kernel exists once per ISA: a portable scalar loop (the reference,
-// compiled everywhere) plus AVX2 / AVX-512 / NEON implementations in their
-// own TUs (kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp —
-// compiled with the matching -m flags, absent under -DNACU_FORCE_SCALAR=ON
-// or on foreign targets). The entry points here pick between them from the
-// Backend argument — resolved once by the caller, never per element — and
-// all implementations are bit-identical by contract, enforced by
+// Each kernel exists twice: a portable scalar loop (the reference, compiled
+// everywhere) and an AVX2 implementation in its own TU (kernels_avx2.cpp,
+// compiled with -mavx2, absent under -DNACU_FORCE_SCALAR=ON or on non-x86
+// targets). The entry points here pick between them from the Backend
+// argument — resolved once by the caller, never per element — and both
+// implementations are bit-identical by contract, enforced by
 // tests/test_simd_differential.cpp.
 //
 // All kernels work on *raw* fixed-point integers (or on fp::Fixed spans
@@ -144,27 +143,12 @@ struct TableView {
                                              const fp::Fixed* in,
                                              fp::Fixed* out, std::size_t n);
 
-/// Dense-table convenience overload (a Dense TableView over @p table).
-[[nodiscard]] std::size_t table_lookup_fixed(Backend backend,
-                                             const std::int16_t* table,
-                                             fp::Format fmt,
-                                             const fp::Fixed* in,
-                                             fp::Fixed* out, std::size_t n);
-
 /// Activation lookup over raw int64 values through a TableView:
 ///   out[i] = entry(in[i])  for min_raw <= in[i] <= max_raw.
 /// Stops at the first out-of-range raw and returns the count processed.
 /// `in` and `out` may alias exactly.
 [[nodiscard]] std::size_t table_lookup_raw(Backend backend,
                                            const TableView& view,
-                                           std::int64_t min_raw,
-                                           std::int64_t max_raw,
-                                           const std::int64_t* in,
-                                           std::int64_t* out, std::size_t n);
-
-/// Dense-table convenience overload.
-[[nodiscard]] std::size_t table_lookup_raw(Backend backend,
-                                           const std::int16_t* table,
                                            std::int64_t min_raw,
                                            std::int64_t max_raw,
                                            const std::int64_t* in,
@@ -178,11 +162,6 @@ struct TableView {
 void table_lookup_i32(Backend backend, const TableView& view,
                       std::int64_t min_raw, const std::int32_t* in,
                       std::int32_t* out, std::size_t n);
-
-/// Dense-table convenience overload (no rebase needed: word IS the index).
-void table_lookup_i32(Backend backend, const std::int16_t* table,
-                      const std::int32_t* in, std::int32_t* out,
-                      std::size_t n);
 
 /// Fused quantized GEMV accumulation over tile-packed int16 weights
 /// (simd/qgemm.hpp packs them). For each output lane o of each 8-wide tile:

@@ -3,15 +3,16 @@
 // datapath semantics they accelerate.
 //
 // Everything is exhaustive or adversarial: table lookups sweep all 2^16
-// representable inputs per config variant — across every compiled backend
-// (scalar, AVX2, AVX-512, NEON) and every table layout (Dense, HalfRange,
-// Pwl) — the fused GEMV is checked against a NACU MAC chain (including
-// saturation-stressed cases where accumulation ORDER changes the answer,
-// so any reassociation would be caught), and the armed fault-injection
-// path is pinned to its PR 2 semantics across backends AND table modes.
-// Under -DNACU_FORCE_SCALAR=ON (or on a host without the ISA) the SIMD
-// half of every comparison degrades to scalar-vs-scalar and the suite
-// still proves the dispatch layer routes correctly.
+// representable inputs per config variant — across both backends (scalar
+// and, where the build carries it and the host runs it, AVX2) and every
+// table layout (Dense, HalfRange, Pwl) — the fused GEMV is checked against
+// a NACU MAC chain (including saturation-stressed cases where accumulation
+// ORDER changes the answer, so any reassociation would be caught), and the
+// armed fault-injection path is pinned to its PR 2 semantics across
+// backends AND table modes. Under -DNACU_FORCE_SCALAR=ON (or on a host
+// without AVX2) the SIMD half of every comparison degrades to
+// scalar-vs-scalar and the suite still proves the dispatch layer routes
+// correctly.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -40,18 +41,12 @@ using core::BatchNacu;
 using core::Nacu;
 using core::NacuConfig;
 
-/// Backends to differentially compare: scalar always, each SIMD tier when
-/// this build carries its kernels and the host can run them.
+/// Backends to differentially compare: scalar always, AVX2 when this build
+/// carries its kernels and the host can run them.
 std::vector<simd::Backend> backends() {
   std::vector<simd::Backend> list{simd::Backend::Scalar};
   if (simd::avx2_available()) {
     list.push_back(simd::Backend::Avx2);
-  }
-  if (simd::avx512_available()) {
-    list.push_back(simd::Backend::Avx512);
-  }
-  if (simd::neon_available()) {
-    list.push_back(simd::Backend::Neon);
   }
   return list;
 }
@@ -108,40 +103,37 @@ std::vector<std::int16_t> synthetic_table(std::size_t entries) {
   return table;
 }
 
+/// A Dense TableView over @p table.
+simd::TableView dense_view(const std::vector<std::int16_t>& table) {
+  simd::TableView view;
+  view.entries = table.data();
+  return view;
+}
+
 constexpr BatchNacu::Function kFunctions[] = {BatchNacu::Function::Sigmoid,
                                               BatchNacu::Function::Tanh,
                                               BatchNacu::Function::Exp};
 
 TEST(SimdDispatch, ResolveClampsAndEnvOverrideWorks) {
   EXPECT_EQ(simd::resolve(simd::Backend::Scalar), simd::Backend::Scalar);
-  if (!simd::avx2_available()) {
-    EXPECT_EQ(simd::resolve(simd::Backend::Avx2), simd::Backend::Scalar);
-  } else {
-    EXPECT_TRUE(simd::avx2_compiled());
-    EXPECT_EQ(simd::resolve(simd::Backend::Avx2), simd::Backend::Avx2);
-  }
-  if (!simd::avx512_available()) {
-    // AVX-512 degrades through the cascade, never to an unavailable ISA.
-    EXPECT_EQ(simd::resolve(simd::Backend::Avx512),
-              simd::avx2_available() ? simd::Backend::Avx2
-                                     : simd::Backend::Scalar);
-  } else {
-    EXPECT_TRUE(simd::avx512_compiled());
-    EXPECT_EQ(simd::resolve(simd::Backend::Avx512), simd::Backend::Avx512);
-  }
-  if (!simd::neon_available()) {
-    EXPECT_EQ(simd::resolve(simd::Backend::Neon), simd::Backend::Scalar);
-  } else {
-    EXPECT_TRUE(simd::neon_compiled());
-    EXPECT_EQ(simd::resolve(simd::Backend::Neon), simd::Backend::Neon);
-  }
+  EXPECT_EQ(simd::resolve(simd::Backend::Avx2),
+            simd::avx2_available() ? simd::Backend::Avx2
+                                   : simd::Backend::Scalar);
   EXPECT_STREQ(simd::backend_name(simd::Backend::Scalar), "scalar");
   EXPECT_STREQ(simd::backend_name(simd::Backend::Avx2), "avx2");
-  EXPECT_STREQ(simd::backend_name(simd::Backend::Avx512), "avx512");
-  EXPECT_STREQ(simd::backend_name(simd::Backend::Neon), "neon");
 
+  ::unsetenv("NACU_BACKEND");
+  const simd::Backend unset = simd::detect_backend();
   ::setenv("NACU_BACKEND", "scalar", 1);
   EXPECT_EQ(simd::detect_backend(), simd::Backend::Scalar);
+  ::setenv("NACU_BACKEND", "avx2", 1);
+  EXPECT_EQ(simd::detect_backend(), simd::resolve(simd::Backend::Avx2));
+  // Any other value, the names of backends this layer no longer has
+  // included, leaves the CPUID pick.
+  for (const char* gone : {"avx512", "neon"}) {
+    ::setenv("NACU_BACKEND", gone, 1);
+    EXPECT_EQ(simd::detect_backend(), unset) << gone;
+  }
   ::unsetenv("NACU_BACKEND");
 
   simd::set_active_backend(simd::Backend::Scalar);
@@ -206,7 +198,7 @@ TEST(SimdKernels, TableLookupFixedExhaustiveBitIdentical) {
       const std::size_t n = xs.size() - offset - (offset != 0 ? 2 : 0);
       std::vector<fp::Fixed> out(n, fp::Fixed::zero(fmt));
       const std::size_t done = simd::table_lookup_fixed(
-          backend, table.data(), fmt, xs.data() + offset, out.data(), n);
+          backend, dense_view(table), fmt, xs.data() + offset, out.data(), n);
       ASSERT_EQ(done, n) << simd::backend_name(backend);
       for (std::size_t i = 0; i < n; ++i) {
         const auto word =
@@ -239,7 +231,7 @@ TEST(SimdKernels, TableLookupFixedStopsAtFirstFormatMismatch) {
       in[pos] = fp::Fixed::zero(other);
       std::vector<fp::Fixed> out(n, sentinel);
       const std::size_t done = simd::table_lookup_fixed(
-          backend, table.data(), fmt, in.data(), out.data(), n);
+          backend, dense_view(table), fmt, in.data(), out.data(), n);
       EXPECT_EQ(done, pos) << simd::backend_name(backend);
       for (std::size_t i = 0; i < pos; ++i) {
         const auto word = static_cast<std::size_t>(-17 - fmt.min_raw());
@@ -267,7 +259,7 @@ TEST(SimdKernels, TableLookupRawExhaustiveAndRangeChecked) {
   for (const simd::Backend backend : backends()) {
     std::vector<std::int64_t> out(raws.size(), 0);
     const std::size_t done =
-        simd::table_lookup_raw(backend, table.data(), fmt.min_raw(),
+        simd::table_lookup_raw(backend, dense_view(table), fmt.min_raw(),
                                fmt.max_raw(), raws.data(), out.data(),
                                raws.size());
     ASSERT_EQ(done, raws.size()) << simd::backend_name(backend);
@@ -281,7 +273,7 @@ TEST(SimdKernels, TableLookupRawExhaustiveAndRangeChecked) {
         std::vector<std::int64_t> in(13, 0);
         in[pos] = bad;
         std::vector<std::int64_t> stopped(13, -999);
-        EXPECT_EQ(simd::table_lookup_raw(backend, table.data(),
+        EXPECT_EQ(simd::table_lookup_raw(backend, dense_view(table),
                                          fmt.min_raw(), fmt.max_raw(),
                                          in.data(), stopped.data(), 13),
                   pos)
@@ -307,11 +299,11 @@ TEST(SimdKernels, TableLookupI32MatchesScalarIncludingAliasing) {
   }
   for (const simd::Backend backend : backends()) {
     std::vector<std::int32_t> out(idx.size(), 0);
-    simd::table_lookup_i32(backend, table.data(), idx.data(), out.data(),
-                           idx.size());
+    simd::table_lookup_i32(backend, dense_view(table), 0, idx.data(),
+                           out.data(), idx.size());
     EXPECT_EQ(out, expected) << simd::backend_name(backend);
     std::vector<std::int32_t> inplace = idx;
-    simd::table_lookup_i32(backend, table.data(), inplace.data(),
+    simd::table_lookup_i32(backend, dense_view(table), 0, inplace.data(),
                            inplace.data(), inplace.size());
     EXPECT_EQ(inplace, expected)
         << simd::backend_name(backend) << " aliased";
