@@ -299,16 +299,19 @@ int main(int argc, char** argv) {
       }
       return best_s;
     };
+    // No thread count in the records: it is 1 on every row but the
+    // `parallel` ones, where it is the host's pool size, and no row's
+    // table_bytes depends on it. As a match key it would hide the
+    // `parallel` rows from the baseline compare on any runner whose core
+    // count differs from the snapshot host's.
     const auto record = [&](const char* op, const char* backend,
-                            std::size_t threads, std::size_t n,
-                            double seconds, std::size_t table_bytes,
-                            std::size_t configs = 1) {
+                            std::size_t configs, std::size_t n,
+                            double seconds, std::size_t table_bytes) {
       const double dn = static_cast<double>(n);
       writer.add(benchjson::Record{}
                      .add("op", op)
                      .add("format", fmt_name)
                      .add("backend", backend)
-                     .add("threads", threads)
                      .add("elems", n)
                      .add("configs", configs)
                      .add("table_bytes", table_bytes)
@@ -395,7 +398,7 @@ int main(int argc, char** argv) {
                table_scalar.table_resident_bytes(f));
         record(name, table_simd_label.c_str(), 1, n, simd_s,
                table_simd.table_resident_bytes(f));
-        record(name, "parallel", pool_threads, n, parallel_s,
+        record(name, "parallel", 1, n, parallel_s,
                parallel.table_resident_bytes(f));
       }
     }
@@ -547,8 +550,8 @@ int main(int argc, char** argv) {
         label += cell.backend_name;
         label += '-';
         label += cell.mode_name;
-        record("sweep", label.c_str(), 1, swept, cell.best_s, cell.resident,
-               cell.configs);
+        record("sweep", label.c_str(), cell.configs, swept, cell.best_s,
+               cell.resident);
       }
     }
     std::printf("  (activation table: %zu KiB dense / %zu KiB resident per "

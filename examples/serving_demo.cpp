@@ -2,7 +2,7 @@
 //
 // Spins up a sharded serve::InferenceServer over a 16-bit NACU, drives it
 // from concurrent client threads with a mixed workload (activation
-// batches, softmax rows, full QuantizedMlp forward passes), then
+// batches and softmax rows, the NACU's own operations), then
 // demonstrates the contracts the layer exists for: bit-identical results
 // across dispatcher shards and micro-batching, admission control
 // (priority shedding, deadlines, per-tenant quotas), reject-with-error
@@ -14,6 +14,7 @@
 // registry.
 //
 // Usage: ./build/examples/serving_demo
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -26,9 +27,26 @@
 #include "fault/fault_injector.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "nn/quantized_mlp.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
+
+namespace {
+
+/// Raws of @p got that differ from @p want; a length mismatch counts every
+/// element as wrong.
+int mismatches(const std::vector<nacu::fp::Fixed>& got,
+               const std::vector<nacu::fp::Fixed>& want) {
+  if (got.size() != want.size()) {
+    return static_cast<int>(std::max(got.size(), want.size()));
+  }
+  int wrong = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    wrong += static_cast<int>(got[i].raw() != want[i].raw());
+  }
+  return wrong;
+}
+
+}  // namespace
 
 int main() {
   using namespace nacu;
@@ -36,16 +54,6 @@ int main() {
 
   obs::set_metrics_enabled(true);
   const core::NacuConfig config = core::config_for_bits(16);
-
-  // A small quantised MLP so the request mix includes model passes.
-  std::printf("Training a small MLP for the request mix...\n");
-  const nn::Dataset data = nn::make_blobs(60, 3);
-  nn::MlpConfig mlp_config;
-  mlp_config.layer_sizes = {2, 12, 3};
-  mlp_config.epochs = 60;
-  nn::Mlp mlp{mlp_config};
-  mlp.train(data);
-  const nn::QuantizedMlp model{mlp, config};
 
   // 1. Mixed workload from concurrent clients across two dispatcher
   //    shards. Each submitting thread sticks to its home shard; each
@@ -61,26 +69,21 @@ int main() {
   for (double v = -4.0; v <= 4.0; v += 0.25) {
     xs.push_back(fp::Fixed::from_double(v, config.format));
   }
+  // The same values double as one Eq. 13 softmax row.
+  const std::vector<fp::Fixed> softmax_want = direct.softmax(xs);
 
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 64;
   std::vector<std::thread> clients;
-  std::vector<int> mismatches(kClients, 0);
+  std::vector<int> wrong(kClients, 0);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < kRequestsPerClient; ++r) {
         const auto f = static_cast<Function>((c + r) % 3);
         auto future = server.submit(f, xs);
-        auto probs = server.submit_mlp(model, {data.inputs(0, 0),
-                                               data.inputs(0, 1)});
-        const std::vector<fp::Fixed> got = future.get();
-        const std::vector<fp::Fixed> want = direct.evaluate(f, xs);
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          if (got[i].raw() != want[i].raw()) {
-            ++mismatches[c];
-          }
-        }
-        (void)probs.get();
+        auto row = server.submit_softmax(xs);
+        wrong[c] += mismatches(future.get(), direct.evaluate(f, xs));
+        wrong[c] += mismatches(row.get(), softmax_want);
       }
     });
   }
@@ -88,7 +91,7 @@ int main() {
     t.join();
   }
   int total_mismatches = 0;
-  for (const int m : mismatches) {
+  for (const int m : wrong) {
     total_mismatches += m;
   }
   const auto counters = server.counters();
@@ -104,7 +107,7 @@ int main() {
               total_mismatches == 0 ? "yes (0 mismatching raws)" : "NO");
 
   // 2. Admission control. Priorities: with a 4-deep queue, best-effort
-  //    may only fill the first half (default fraction 0.5), so its third
+  //    may only fill the first half of the capacity, so its third
   //    submission sheds while normal traffic still admits. Deadlines: an
   //    already-expired deadline is rejected at submit. Quotas: tenant 7
   //    gets a 2-token bucket and is rejected on its third burst
@@ -129,7 +132,7 @@ int main() {
       ++be_shed;
     }
   }
-  std::printf("\nadmission: best-effort fills 2/4 (its depth fraction), "
+  std::printf("\nadmission: best-effort fills 2/4 (half the capacity), "
               "then %d shed while normal still admits\n", be_shed);
 
   serve::SubmitOptions expired;
@@ -222,13 +225,8 @@ int main() {
                        static_cast<std::size_t>(hit_raw -
                                                 config.format.min_raw()),
                        5, fault::FaultModel::TransientSeu});
-  const std::vector<fp::Fixed> during = resilient.submit(
-      Function::Sigmoid, xs).get();
-  int seu_mismatches = 0;
-  for (std::size_t i = 0; i < during.size(); ++i) {
-    seu_mismatches += static_cast<int>(during[i].raw() !=
-                                       healing_want[i].raw());
-  }
+  const int seu_mismatches = mismatches(
+      resilient.submit(Function::Sigmoid, xs).get(), healing_want);
   const serve::ShardHealthSnapshot hit = resilient.shard_health(0);
   std::printf("\nself-healing: SEU armed on the σ table word for raw %lld; "
               "served result had %d wrong elements (detections=%llu, "
@@ -238,13 +236,8 @@ int main() {
               hit.quarantined);
   resilient.poke_supervisor();  // scrub-rebuild + re-verify + close circuit
   const serve::ShardHealthSnapshot healed = resilient.shard_health(0);
-  const std::vector<fp::Fixed> after = resilient.submit(
-      Function::Sigmoid, xs).get();
-  int after_mismatches = 0;
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    after_mismatches += static_cast<int>(after[i].raw() !=
-                                         healing_want[i].raw());
-  }
+  const int after_mismatches = mismatches(
+      resilient.submit(Function::Sigmoid, xs).get(), healing_want);
   const bool healed_ok = seu_mismatches == 0 && after_mismatches == 0 &&
                          hit.detections >= 1 && hit.quarantined != 0 &&
                          healed.quarantined == 0 && healed.scrubs == 1 &&
@@ -259,17 +252,15 @@ int main() {
   // 6. The same layer over the wire: a net::NetServer wraps an
   //    InferenceServer behind the length-prefixed TCP protocol
   //    (src/net/wire.hpp) on an ephemeral loopback port; a net::Client
-  //    pipelines activation, softmax and hosted-MLP requests over one
-  //    connection and responses stream back in submission order —
+  //    pipelines activation and softmax requests over one connection
+  //    and responses stream back in submission order —
   //    bit-identical to direct evaluation, because the wire carries raw
   //    fixed-point words untouched. Shutdown drains the connection: every
   //    accepted request is answered before the socket closes.
   serve::ServerOptions wire_opts;
   wire_opts.shards = 2;
   serve::InferenceServer wire_inference{config, wire_opts};
-  net::NetServerOptions net_opts;
-  net_opts.mlp = &model;  // host the MLP so kSubmitMlp frames resolve
-  net::NetServer net_server{wire_inference, net_opts};
+  net::NetServer net_server{wire_inference};
   int wire_mismatches = -1;
   {
     net::Client client{net_server.port()};
@@ -279,26 +270,24 @@ int main() {
       for (int r = 0; r < kPipelined; ++r) {
         (void)client.send_submit(static_cast<Function>(r % 3), xs);
       }
-      const std::uint64_t mlp_id =
-          client.send_mlp(std::vector<double>{data.inputs(0, 0),
-                                              data.inputs(0, 1)});
+      const std::uint64_t softmax_id = client.send_softmax(xs);
       for (int r = 0; r < kPipelined; ++r) {
         const auto response = client.read_response();
         if (!response.has_value() || !response->ok()) {
           ++wire_mismatches;
           continue;
         }
-        const std::vector<fp::Fixed> want =
-            direct.evaluate(static_cast<Function>(r % 3), xs);
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          wire_mismatches += static_cast<int>(
-              response->values[i].raw() != want[i].raw());
-        }
+        wire_mismatches += mismatches(
+            response->values,
+            direct.evaluate(static_cast<Function>(r % 3), xs));
       }
-      const auto mlp_response = client.read_response();
-      wire_mismatches += static_cast<int>(
-          !mlp_response.has_value() || !mlp_response->ok() ||
-          mlp_response->id != mlp_id || mlp_response->doubles.size() != 3);
+      const auto softmax_response = client.read_response();
+      if (!softmax_response.has_value() || !softmax_response->ok() ||
+          softmax_response->id != softmax_id) {
+        ++wire_mismatches;
+      } else {
+        wire_mismatches += mismatches(softmax_response->values, softmax_want);
+      }
       client.close_send();            // half-close: done submitting
       while (client.read_response().has_value()) {
       }                               // drain to EOF

@@ -70,11 +70,6 @@ std::uint64_t Client::send_softmax(std::span<const fp::Fixed> logits,
   return send(encode_submit_softmax(next_id_, logits, options));
 }
 
-std::uint64_t Client::send_mlp(std::span<const double> input,
-                               const WireSubmitOptions& options) {
-  return send(encode_submit_mlp(next_id_, input, options));
-}
-
 std::optional<Client::Response> Client::read_response() {
   if (!valid_) {
     return std::nullopt;
@@ -108,21 +103,6 @@ std::optional<Client::Response> Client::read_response() {
         return std::nullopt;
       }
       response.values = std::move(*values);
-      return response;
-    }
-    case Opcode::kResultF64: {
-      const auto count = r.u32();
-      if (!count) {
-        return std::nullopt;
-      }
-      response.doubles.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        const auto v = r.f64();
-        if (!v) {
-          return std::nullopt;
-        }
-        response.doubles.push_back(*v);
-      }
       return response;
     }
     case Opcode::kError: {

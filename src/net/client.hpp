@@ -59,15 +59,12 @@ class Client {
   [[nodiscard]] std::uint64_t send_softmax(
       std::span<const fp::Fixed> logits,
       const WireSubmitOptions& options = {});
-  [[nodiscard]] std::uint64_t send_mlp(std::span<const double> input,
-                                       const WireSubmitOptions& options = {});
 
   struct Response {
     std::uint64_t id = 0;
     ErrorCode error = ErrorCode::kNone;  ///< kNone = success
     std::string message;                 ///< diagnostic text on error
     std::vector<fp::Fixed> values;       ///< ResultFixed payload
-    std::vector<double> doubles;         ///< ResultF64 payload
     [[nodiscard]] bool ok() const noexcept { return error == ErrorCode::kNone; }
   };
   /// Next response, from the buffer or else off the wire — blocking, after

@@ -65,9 +65,7 @@ ErrorCode classify_exception(std::exception_ptr error, std::string& message) {
 
 NetServer::NetServer(serve::InferenceServer& inference,
                      NetServerOptions options)
-    : inference_{inference},
-      options_{options},
-      listener_{options.port} {
+    : inference_{inference}, listener_{options.port} {
   if (!listener_.valid()) {
     return;  // running() stays false; port() stays 0
   }
@@ -224,8 +222,11 @@ NetServer::Pending NetServer::handle_frame(
     return PendingError{*id, ErrorCode::kBadRequest, std::move(message)};
   };
 
-  std::uint8_t function = 0;
   const auto op = static_cast<Opcode>(*opcode);
+  if (op != Opcode::kSubmit && op != Opcode::kSubmitSoftmax) {
+    return bad("unknown opcode");
+  }
+  std::optional<core::BatchNacu::Function> function;  // empty: softmax
   if (op == Opcode::kSubmit) {
     const auto f = r.u8();
     if (!f) {
@@ -234,7 +235,7 @@ NetServer::Pending NetServer::handle_frame(
     if (*f >= core::BatchNacu::kFunctionCount) {
       return bad("unknown function index");
     }
-    function = *f;
+    function = static_cast<core::BatchNacu::Function>(*f);
   }
   const auto wire_options = decode_submit_options(r);
   if (!wire_options) {
@@ -254,49 +255,19 @@ NetServer::Pending NetServer::handle_frame(
   }
 
   try {
-    switch (op) {
-      case Opcode::kSubmit:
-      case Opcode::kSubmitSoftmax: {
-        // decode_raws throws out_of_range on a raw outside the format —
-        // classified below as kBadRequest, connection keeps serving.
-        std::optional<std::vector<fp::Fixed>> input =
-            decode_raws(r, inference_.engine().config().format);
-        if (!input) {
-          return bad("element width or count does not match frame length");
-        }
-        auto future =
-            op == Opcode::kSubmit
-                ? inference_.submit(
-                      static_cast<core::BatchNacu::Function>(function),
-                      std::move(*input), submit_options)
-                : inference_.submit_softmax(std::move(*input), submit_options);
-        requests_submitted_.add();
-        return PendingFixed{*id, std::move(future)};
-      }
-      case Opcode::kSubmitMlp: {
-        const auto count = r.u32();
-        if (!count || r.remaining() != std::size_t{*count} * 8) {
-          return bad("element count does not match frame length");
-        }
-        if (options_.mlp == nullptr) {
-          immediate_errors_.add();
-          return PendingError{*id, ErrorCode::kUnsupported,
-                              "no MLP model hosted"};
-        }
-        std::vector<double> input;
-        input.reserve(*count);
-        for (std::uint32_t i = 0; i < *count; ++i) {
-          input.push_back(*r.f64());
-        }
-        auto future =
-            inference_.submit_mlp(*options_.mlp, std::move(input),
-                                  submit_options);
-        requests_submitted_.add();
-        return PendingF64{*id, std::move(future)};
-      }
-      default:
-        return bad("unknown opcode");
+    // decode_raws throws out_of_range on a raw outside the format —
+    // classified below as kBadRequest, connection keeps serving.
+    std::optional<std::vector<fp::Fixed>> input =
+        decode_raws(r, inference_.engine().config().format);
+    if (!input) {
+      return bad("element width or count does not match frame length");
     }
+    auto future =
+        function ? inference_.submit(*function, std::move(*input),
+                                     submit_options)
+                 : inference_.submit_softmax(std::move(*input), submit_options);
+    requests_submitted_.add();
+    return PendingFixed{*id, std::move(future)};
   } catch (...) {
     // Admission rejections (and bad raws) — typed error frame instead of
     // a future; the request was never accepted, nothing to drain.
@@ -309,44 +280,33 @@ NetServer::Pending NetServer::handle_frame(
 }
 
 bool NetServer::ready(const Pending& pending) {
-  return std::visit(
-      [](const auto& p) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(p)>,
-                                     PendingError>) {
-          return true;
-        } else {
-          return p.future.wait_for(std::chrono::seconds{0}) ==
-                 std::future_status::ready;
-        }
-      },
-      pending);
+  const auto* fixed = std::get_if<PendingFixed>(&pending);
+  return fixed == nullptr ||
+         fixed->future.wait_for(std::chrono::seconds{0}) ==
+             std::future_status::ready;
 }
 
 std::vector<std::uint8_t> NetServer::encode_response(Pending& pending) {
   if (const auto* error = std::get_if<PendingError>(&pending)) {
     return encode_error(error->id, error->code, error->message);
   }
-  const std::uint64_t id = std::visit([](const auto& p) { return p.id; },
-                                      pending);
+  auto& fixed = std::get<PendingFixed>(pending);
   try {
-    if (auto* fixed = std::get_if<PendingFixed>(&pending)) {
-      std::vector<std::uint8_t> frame =
-          encode_result_fixed(id, fixed->future.get());
-      // Raws that fit an int16 can come back wider on a datapath of more
-      // than 16 bits; a result that outgrows one frame would break the
-      // client's stream.
-      if (frame.size() > kLengthPrefixBytes + kMaxFrameBytes) {
-        return encode_error(id, ErrorCode::kBadRequest,
-                            "result exceeds one frame; split the request");
-      }
-      return frame;
+    std::vector<std::uint8_t> frame =
+        encode_result_fixed(fixed.id, fixed.future.get());
+    // Raws that fit an int16 can come back wider on a datapath of more
+    // than 16 bits; a result that outgrows one frame would break the
+    // client's stream.
+    if (frame.size() > kLengthPrefixBytes + kMaxFrameBytes) {
+      return encode_error(fixed.id, ErrorCode::kBadRequest,
+                          "result exceeds one frame; split the request");
     }
-    return encode_result_f64(id, std::get<PendingF64>(pending).future.get());
+    return frame;
   } catch (...) {
     std::string message;
     const ErrorCode code =
         classify_exception(std::current_exception(), message);
-    return encode_error(id, code, message);
+    return encode_error(fixed.id, code, message);
   }
 }
 

@@ -6,17 +6,17 @@
 //
 //   reader: one recv into the connection's FrameReader, then for every
 //           complete frame it holds: decode (wire.hpp) →
-//           InferenceServer::submit / submit_softmax / submit_mlp → one
-//           pending entry. Admission rejections (Overloaded, Quota,
-//           Deadline, Shutdown — thrown from submit) become typed error
-//           entries without a future; malformed-but-framed payloads
-//           become kBadRequest entries and the connection keeps serving.
+//           InferenceServer::submit / submit_softmax → one pending
+//           entry. Admission rejections (Overloaded, Quota, Deadline,
+//           Shutdown — thrown from submit) become typed error entries
+//           without a future; malformed-but-framed payloads become
+//           kBadRequest entries and the connection keeps serving.
 //           Only when the buffer holds no complete frame, so the next
 //           step would block in recv, does it append the batch to the
 //           connection's pending FIFO and wake the writer, once.
 //   writer: take the whole pending FIFO under one lock, resolve it in
-//           submission order into ResultFixed/ResultF64 frames — or map
-//           the exception (DeadlineExpiredError, ShardFailedError,
+//           submission order into ResultFixed frames — or map the
+//           exception (DeadlineExpiredError, ShardFailedError,
 //           per-request input errors) onto an Error frame — and append
 //           each to one output buffer, sent in one call. Before it blocks
 //           on a future that is not ready it sends what it holds, so a
@@ -59,9 +59,6 @@ namespace nacu::net {
 struct NetServerOptions {
   /// 0 = ephemeral; read the bound port back via NetServer::port().
   std::uint16_t port = 0;
-  /// Model served by kSubmitMlp frames (borrowed; keep alive for the
-  /// server's lifetime). nullptr answers kSubmitMlp with kUnsupported.
-  const nn::QuantizedMlp* mlp = nullptr;
 };
 
 /// Map a caught exception from submit / future.get() onto its wire code.
@@ -125,16 +122,12 @@ class NetServer {
     std::uint64_t id;
     std::future<std::vector<fp::Fixed>> future;
   };
-  struct PendingF64 {
-    std::uint64_t id;
-    std::future<std::vector<double>> future;
-  };
   struct PendingError {
     std::uint64_t id;
     ErrorCode code;
     std::string message;
   };
-  using Pending = std::variant<PendingFixed, PendingF64, PendingError>;
+  using Pending = std::variant<PendingFixed, PendingError>;
 
   struct Connection {
     Socket socket;
@@ -164,7 +157,6 @@ class NetServer {
   void reap_connections(bool all);
 
   serve::InferenceServer& inference_;
-  NetServerOptions options_;
   Listener listener_;
   bool listening_ = false;
   std::uint16_t port_ = 0;

@@ -20,8 +20,6 @@ const char* error_code_name(ErrorCode code) noexcept {
       return "shard-failed";
     case ErrorCode::kBadRequest:
       return "bad-request";
-    case ErrorCode::kUnsupported:
-      return "unsupported";
     case ErrorCode::kInternal:
       return "internal";
   }
@@ -231,19 +229,6 @@ std::vector<std::uint8_t> encode_submit_softmax(
   return softmax_frame(id, values, options);
 }
 
-std::vector<std::uint8_t> encode_submit_mlp(std::uint64_t id,
-                                            std::span<const double> input,
-                                            const WireSubmitOptions& options) {
-  ByteWriter w = start_frame(kHeadBytes + kOptionsBytes + 4 + 8 * input.size());
-  encode_request_head(w, Opcode::kSubmitMlp, id);
-  encode_submit_options(w, options);
-  w.u32(static_cast<std::uint32_t>(input.size()));
-  for (const auto v : input) {
-    w.f64(v);
-  }
-  return seal(w);
-}
-
 std::vector<std::uint8_t> encode_result_fixed(
     std::uint64_t id, std::span<const std::int64_t> raws) {
   return result_frame(id, raws);
@@ -252,17 +237,6 @@ std::vector<std::uint8_t> encode_result_fixed(
 std::vector<std::uint8_t> encode_result_fixed(
     std::uint64_t id, std::span<const fp::Fixed> values) {
   return result_frame(id, values);
-}
-
-std::vector<std::uint8_t> encode_result_f64(std::uint64_t id,
-                                            std::span<const double> values) {
-  ByteWriter w = start_frame(kHeadBytes + 4 + 8 * values.size());
-  encode_request_head(w, Opcode::kResultF64, id);
-  w.u32(static_cast<std::uint32_t>(values.size()));
-  for (const auto v : values) {
-    w.f64(v);
-  }
-  return seal(w);
 }
 
 std::vector<std::uint8_t> encode_error(std::uint64_t id, ErrorCode code,

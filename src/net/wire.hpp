@@ -2,11 +2,12 @@
 //
 // This is the vocabulary of the network edge (net/server.hpp accepts it,
 // net/client.hpp speaks it, bench_e2e drives it): a byte-exact, versioned
-// encoding of the serving layer's submit API — every SubmitOptions field
-// travels on the wire — plus typed error frames that map the admission
-// exceptions (OverloadedError, DeadlineExpiredError, QuotaExceededError,
-// ShutdownError, ShardFailedError) onto stable one-byte codes a client can
-// switch on without parsing message text.
+// encoding of the serving layer's submit API (activation batches and
+// softmax rows; every SubmitOptions field travels on the wire) plus typed
+// error frames that map the admission exceptions (OverloadedError,
+// DeadlineExpiredError, QuotaExceededError, ShutdownError,
+// ShardFailedError) onto stable one-byte codes a client can switch on
+// without parsing message text.
 //
 // Frame layout (all integers little-endian):
 //
@@ -27,7 +28,7 @@
 //
 //   Hello (server → client, once, immediately after accept):
 //     u8  opcode = kHello
-//     u8  protocol version (kProtocolVersion = 3: "nacu-wire v3")
+//     u8  protocol version (kProtocolVersion = 4: "nacu-wire v4")
 //     u8  format integer bits   ┐ the server's datapath grid — raw
 //     u8  format fractional bits┘ values on the wire live on it
 //     u8  function count (how many Function values submits may carry)
@@ -52,13 +53,6 @@
 //     kMaxFrameBytes frame holds about 512 Ki elements at width 2 and
 //     128 Ki at width 8.
 //
-//   SubmitMlp (client → server; hosted-model forward pass):
-//     u8  opcode = kSubmitMlp
-//     u64 request id
-//     SubmitOptions block
-//     u32 element count
-//     f64 × count    model inputs (IEEE-754 bits as u64)
-//
 //   SubmitOptions block (fixed 22 bytes, always present):
 //     u8  priority (Priority index)
 //     u8  flags (bit 0: deadline_ns is set)
@@ -73,12 +67,6 @@
 //     u8  opcode = kResultFixed
 //     u64 request id
 //     raw body (above)
-//
-//   ResultF64 (server → client):
-//     u8  opcode = kResultF64
-//     u64 request id
-//     u32 element count
-//     f64 × count doubles
 //
 //   Error (server → client):
 //     u8  opcode = kError
@@ -95,6 +83,10 @@
 // value — is answered with a kBadRequest error frame and the connection
 // keeps serving. Either way the server never crashes and never leaks a
 // pending promise.
+//
+// Values retired in v4 are never reused: opcodes 0x03 and 0x21 (v3's
+// hosted-model request and its f64 result) are unknown opcodes, answered
+// kBadRequest like any other, and error code 7 is never sent.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +100,7 @@
 
 namespace nacu::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 3;
+inline constexpr std::uint8_t kProtocolVersion = 4;
 /// Hard per-frame payload bound: large enough for any realistic batch
 /// (about 512 Ki elements at width 2, 128 Ki at width 8), small enough
 /// that a corrupt length prefix cannot make the reader allocate unbounded
@@ -122,16 +114,14 @@ inline constexpr std::uint8_t kWideElementBytes = 8;    ///< int64 raws
 enum class Opcode : std::uint8_t {
   kSubmit = 0x01,         ///< element-wise activation batch
   kSubmitSoftmax = 0x02,  ///< one Eq. 13 softmax row
-  kSubmitMlp = 0x03,      ///< hosted-model QuantizedMlp forward pass
   kHello = 0x10,          ///< server → client greeting
   kResultFixed = 0x20,    ///< raw fixed-point result vector
-  kResultF64 = 0x21,      ///< double result vector (MLP probabilities)
   kError = 0x30,          ///< typed failure for one request
 };
 
 /// Stable wire codes for every way a request can fail. Codes 1–5 map the
-/// serve:: exception types one-to-one; 6–8 are network-edge failures that
-/// have no serving-layer equivalent.
+/// serve:: exception types one-to-one; 6 and 8 are network-edge failures
+/// that have no serving-layer equivalent (7 is retired).
 enum class ErrorCode : std::uint8_t {
   kNone = 0,
   kOverloaded = 1,       ///< serve::OverloadedError
@@ -140,7 +130,6 @@ enum class ErrorCode : std::uint8_t {
   kDeadlineExpired = 4,  ///< serve::DeadlineExpiredError
   kShardFailed = 5,      ///< serve::ShardFailedError
   kBadRequest = 6,       ///< malformed payload / value outside the format
-  kUnsupported = 7,      ///< opcode needs a capability the server lacks
   kInternal = 8,         ///< anything else (exception text in the message)
 };
 
@@ -167,11 +156,6 @@ class ByteWriter {
   void u32(std::uint32_t v) { append(&v, 4); }
   void u64(std::uint64_t v) { append(&v, 8); }
   void i64(std::int64_t v) { append(&v, 8); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-  }
   void raw(const void* data, std::size_t n) { append(data, n); }
   /// Grow by @p n bytes and return where they start, for a caller that
   /// fills them in one loop.
@@ -218,15 +202,6 @@ class ByteReader {
   }
   [[nodiscard]] std::optional<std::int64_t> i64() {
     return fixed<std::int64_t>();
-  }
-  [[nodiscard]] std::optional<double> f64() {
-    const auto bits = u64();
-    if (!bits) {
-      return std::nullopt;
-    }
-    double v = 0.0;
-    std::memcpy(&v, &*bits, 8);
-    return v;
   }
   /// The next @p n bytes, in place.
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes(
@@ -286,15 +261,10 @@ void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_softmax(
     std::uint64_t id, std::span<const fp::Fixed> values,
     const WireSubmitOptions& options);
-[[nodiscard]] std::vector<std::uint8_t> encode_submit_mlp(
-    std::uint64_t id, std::span<const double> input,
-    const WireSubmitOptions& options);
 [[nodiscard]] std::vector<std::uint8_t> encode_result_fixed(
     std::uint64_t id, std::span<const std::int64_t> raws);
 [[nodiscard]] std::vector<std::uint8_t> encode_result_fixed(
     std::uint64_t id, std::span<const fp::Fixed> values);
-[[nodiscard]] std::vector<std::uint8_t> encode_result_f64(
-    std::uint64_t id, std::span<const double> values);
 [[nodiscard]] std::vector<std::uint8_t> encode_error(std::uint64_t id,
                                                      ErrorCode code,
                                                      std::string_view message);

@@ -1,35 +1,18 @@
 #include "serve/admission.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace nacu::serve {
-namespace {
-
-std::size_t limit_for(double fraction, std::size_t capacity) {
-  const double clamped = std::clamp(fraction, 0.0, 1.0);
-  const auto limit = static_cast<std::size_t>(
-      std::floor(clamped * static_cast<double>(capacity)));
-  // A priority class can be throttled hard but never configured out: one
-  // slot always remains, so a lone best-effort request on an idle server
-  // is admitted no matter the fraction.
-  return std::max<std::size_t>(1, limit);
-}
-
-}  // namespace
 
 AdmissionController::AdmissionController(
     const AdmissionOptions& options, std::size_t shard_capacity,
     std::function<std::chrono::steady_clock::time_point()> clock)
     : clock_{clock ? std::move(clock)
-                   : [] { return std::chrono::steady_clock::now(); }} {
-  const std::size_t capacity = std::max<std::size_t>(1, shard_capacity);
-  limits_[static_cast<std::size_t>(Priority::High)] =
-      limit_for(options.high_depth_fraction, capacity);
-  limits_[static_cast<std::size_t>(Priority::Normal)] =
-      limit_for(options.normal_depth_fraction, capacity);
-  limits_[static_cast<std::size_t>(Priority::BestEffort)] =
-      limit_for(options.best_effort_depth_fraction, capacity);
+                   : [] { return std::chrono::steady_clock::now(); }},
+      capacity_{std::max<std::size_t>(1, shard_capacity)},
+      // One slot always remains, so a lone best-effort request on an idle
+      // one-slot shard is admitted.
+      best_effort_limit_{std::max<std::size_t>(1, capacity_ / 2)} {
   for (const auto& [tenant, quota] : options.quotas) {
     buckets_[tenant] = TokenBucket{quota, clock_()};  // buckets start full
   }

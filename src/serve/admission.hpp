@@ -5,11 +5,11 @@
 // *before* a request is enqueued so every rejection is an exception from
 // submit and never a broken future:
 //
-//   * priority classes — each Priority admits against its own fraction of
-//     the per-shard queue capacity (depth_limit). Best-effort fills only
-//     the first half of a queue by default, so under load it is always
-//     shed before normal/high traffic — graceful degradation instead of
-//     FIFO lockout;
+//   * priority classes — each Priority admits against its own depth limit
+//     (depth_limit). High and normal may fill the whole per-shard queue
+//     capacity; best-effort fills only the first half (never less than one
+//     slot), so under load it is always shed before normal/high traffic —
+//     graceful degradation instead of FIFO lockout;
 //   * deadline checks — a request whose deadline has already expired is
 //     rejected at submit (RejectDeadline); one whose deadline expires
 //     while queued is shed at dispatch by the server (its future carries
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -81,15 +80,6 @@ class TokenBucket {
 };
 
 struct AdmissionOptions {
-  /// Fraction of each shard's queue capacity a priority class may fill
-  /// before it is shed (clamped to [0, 1]; the resulting depth limit is
-  /// at least 1 so a priority class is never configured out entirely).
-  /// Defaults keep high and normal at full capacity — byte-for-byte the
-  /// pre-admission-control backpressure behaviour — and shed best-effort
-  /// at half.
-  double high_depth_fraction = 1.0;
-  double normal_depth_fraction = 1.0;
-  double best_effort_depth_fraction = 0.5;
   /// Per-tenant token buckets, keyed by SubmitOptions::tenant. Tenants
   /// not listed are unmetered.
   std::vector<std::pair<std::uint64_t, TenantQuota>> quotas;
@@ -114,14 +104,17 @@ class AdmissionController {
   /// depth_limit() — under the producer lock, where it is exact.
   [[nodiscard]] Verdict preadmit(const SubmitOptions& options);
 
-  /// Depth (in requests, per shard) the priority class may fill to.
+  /// Depth (in requests, per shard) the priority class may fill to: the
+  /// full shard capacity for High and Normal, max(1, capacity / 2) for
+  /// BestEffort.
   [[nodiscard]] std::size_t depth_limit(Priority priority) const noexcept {
-    return limits_[static_cast<std::size_t>(priority)];
+    return priority == Priority::BestEffort ? best_effort_limit_ : capacity_;
   }
 
  private:
   std::function<std::chrono::steady_clock::time_point()> clock_;
-  std::array<std::size_t, kPriorityCount> limits_{};
+  std::size_t capacity_;
+  std::size_t best_effort_limit_;
   std::mutex mutex_;  ///< guards buckets_ (metered tenants only)
   std::unordered_map<std::uint64_t, TokenBucket> buckets_;
 };

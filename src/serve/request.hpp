@@ -1,15 +1,17 @@
 // Request/response vocabulary of the async serving layer.
 //
-// A request is one unit of client work — an element-wise activation batch,
-// one softmax row, or a full model forward pass — paired with the promise
-// its result is delivered through, plus the admission metadata the sharded
-// server schedules it by: a priority class, an optional completion
-// deadline, and an optional tenant id for per-tenant quotas. Requests are
-// created by the InferenceServer submission API (server.hpp), admitted
-// through the AdmissionController (admission.hpp), queued in a per-shard
-// ShardQueue (shard_queue.hpp), grouped by that shard's MicroBatcher
-// (micro_batcher.hpp), and fulfilled by the shard's dispatcher thread;
-// clients only ever see the std::future side.
+// A request is one unit of client work — an element-wise activation batch
+// or one softmax row, the NACU's own operations — paired with the promise
+// its result is delivered through, plus the admission metadata the
+// sharded server schedules it by: a priority class, an optional
+// completion deadline, and an optional tenant id for per-tenant quotas.
+// Every request has the same shape, fp::Fixed values in and out (a model
+// pass is the caller's to run: it calls the model, which calls the
+// engine). Requests are created by the InferenceServer submission API
+// (server.hpp), admitted through the AdmissionController (admission.hpp),
+// queued in a per-shard ShardQueue (shard_queue.hpp), grouped by that
+// shard's MicroBatcher (micro_batcher.hpp), and fulfilled by the shard's
+// dispatcher thread; clients only ever see the std::future side.
 //
 // Admission failures are *exceptions from submit*, not broken futures: a
 // request that the server cannot accept (every eligible shard at its
@@ -25,18 +27,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <future>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/batch_nacu.hpp"
-#include "nn/lstm.hpp"
-#include "nn/quantized_mlp.hpp"
 
 namespace nacu::serve {
 
@@ -93,8 +90,9 @@ class ShardFailedError : public std::runtime_error {
 
 /// Admission-control priority classes. Under load, lower classes are shed
 /// first: each class admits only while the target shard's queue depth is
-/// below its configured fraction of capacity (admission.hpp), so
-/// best-effort traffic is always rejected before high-priority traffic.
+/// below its depth limit (admission.hpp; best-effort gets half the
+/// capacity), so best-effort traffic is always rejected before
+/// high-priority traffic.
 enum class Priority : std::uint8_t {
   High = 0,
   Normal = 1,
@@ -123,53 +121,27 @@ struct SubmitOptions {
   std::uint32_t max_retries = 0;
 };
 
-/// Element-wise activation over the datapath: out[i] = f(in[i]). These are
+/// One queued unit of work plus its scheduling metadata. A request with a
+/// function is an element-wise activation, out[i] = f(input[i]); these are
 /// the requests the micro-batcher *coalesces* — element-wise evaluation is
 /// position-independent, so concatenating many requests into one
 /// BatchNacu::evaluate call and slicing the output back apart is
 /// bit-identical to evaluating each request alone (proven by
-/// tests/test_serving.cpp).
-struct ActivationRequest {
-  core::BatchNacu::Function function = core::BatchNacu::Function::Sigmoid;
+/// tests/test_serving.cpp). A request without one is an Eq. 13 softmax row
+/// over input; each row is its own BatchNacu::softmax call, because the
+/// normalisation couples every element of a row, so rows are never merged.
+///
+/// enqueued_at is the admission timestamp (it feeds the max_wait flush
+/// policy and the serve.request_latency_ns enqueue→complete histogram).
+/// The priority only picks the depth limit at submit; a requeue admits
+/// against the full shard capacity. Every accepted request exists as
+/// exactly one Request, moved from submit through its queue, batcher and
+/// dispatch group (and through a requeue after a shard failure), so its
+/// promise has exactly one producer.
+struct Request {
+  std::optional<core::BatchNacu::Function> function;  ///< empty: softmax
   std::vector<fp::Fixed> input;
   std::promise<std::vector<fp::Fixed>> result;
-};
-
-/// One Eq. 13 softmax row. Rows are dispatched in the same groups as
-/// activations but each row is its own BatchNacu::softmax call — the
-/// normalisation couples every element of a row, so rows are never merged.
-struct SoftmaxRequest {
-  std::vector<fp::Fixed> logits;
-  std::promise<std::vector<fp::Fixed>> result;
-};
-
-/// Full nn::QuantizedMlp forward pass (predict_proba). The model is
-/// borrowed: the caller must keep it alive until the future resolves.
-struct MlpRequest {
-  const nn::QuantizedMlp* model = nullptr;
-  std::vector<double> input;
-  std::promise<std::vector<double>> result;
-};
-
-/// One nn::LstmFixed cell step. The model is borrowed like MlpRequest's.
-struct LstmRequest {
-  const nn::LstmFixed* model = nullptr;
-  nn::LstmFixed::State state;
-  std::vector<double> x;
-  std::promise<nn::LstmFixed::State> result;
-};
-
-/// One queued unit of work plus its scheduling metadata: the admission
-/// timestamp (feeds the max_wait flush policy and the
-/// serve.request_latency_ns enqueue→complete histogram) and its optional
-/// deadline. Its priority only picks the depth limit at submit; a requeue
-/// admits against the full shard capacity. Every accepted request exists
-/// as exactly one Request, moved from submit through its queue, batcher
-/// and dispatch group (and through a requeue after a shard failure), so
-/// its promise has exactly one producer.
-struct Request {
-  std::variant<ActivationRequest, SoftmaxRequest, MlpRequest, LstmRequest>
-      payload;
   std::chrono::steady_clock::time_point enqueued_at{};
   std::optional<std::chrono::steady_clock::time_point> deadline{};
   /// Remaining transparent re-enqueues after a shard failure
@@ -178,12 +150,5 @@ struct Request {
 };
 static_assert(!std::is_copy_constructible_v<Request>,
               "one Request, and one promise, per accepted request");
-
-/// Deliver @p error through the request's promise (deadline shedding and
-/// shard-failure sweeps, which never reach execute_one).
-inline void fail_request(Request& request, std::exception_ptr error) {
-  std::visit([&](auto& r) { r.result.set_exception(std::move(error)); },
-             request.payload);
-}
 
 }  // namespace nacu::serve

@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "fault/detectors.hpp"
@@ -167,7 +166,7 @@ void InferenceServer::sweep_leftovers() {
     for (Request& r : shard->take_all()) {
       retry_exhausted_.add();
       finish(r);
-      fail_request(r, std::make_exception_ptr(ShardFailedError{}));
+      r.result.set_exception(std::make_exception_ptr(ShardFailedError{}));
     }
   }
 }
@@ -241,10 +240,9 @@ std::size_t InferenceServer::home_shard() const noexcept {
   return static_cast<std::size_t>(token % shards_.size());
 }
 
-template <typename Result, typename Payload>
-std::future<Result> InferenceServer::enqueue(
-    Payload payload, const SubmitOptions& submit_options) {
-  std::future<Result> future = payload.result.get_future();
+std::future<std::vector<fp::Fixed>> InferenceServer::enqueue(
+    Request request, const SubmitOptions& submit_options) {
+  std::future<std::vector<fp::Fixed>> future = request.result.get_future();
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_shutdown_.add();
     throw ShutdownError{};
@@ -260,8 +258,6 @@ std::future<Result> InferenceServer::enqueue(
       break;
   }
 
-  Request request;
-  request.payload = std::move(payload);
   request.deadline = submit_options.deadline;
   request.retries_left = submit_options.max_retries;
   if (stamp_enqueue_time_ || obs::metrics_enabled()) {
@@ -326,36 +322,17 @@ ShardQueue::Push InferenceServer::route(Request& request,
 std::future<std::vector<fp::Fixed>> InferenceServer::submit(
     Function f, std::vector<fp::Fixed> input,
     const SubmitOptions& submit_options) {
-  ActivationRequest payload;
-  payload.function = f;
-  payload.input = std::move(input);
-  return enqueue<std::vector<fp::Fixed>>(std::move(payload), submit_options);
+  Request request;
+  request.function = f;
+  request.input = std::move(input);
+  return enqueue(std::move(request), submit_options);
 }
 
 std::future<std::vector<fp::Fixed>> InferenceServer::submit_softmax(
     std::vector<fp::Fixed> logits, const SubmitOptions& submit_options) {
-  SoftmaxRequest payload;
-  payload.logits = std::move(logits);
-  return enqueue<std::vector<fp::Fixed>>(std::move(payload), submit_options);
-}
-
-std::future<std::vector<double>> InferenceServer::submit_mlp(
-    const nn::QuantizedMlp& model, std::vector<double> input,
-    const SubmitOptions& submit_options) {
-  MlpRequest payload;
-  payload.model = &model;
-  payload.input = std::move(input);
-  return enqueue<std::vector<double>>(std::move(payload), submit_options);
-}
-
-std::future<nn::LstmFixed::State> InferenceServer::submit_lstm(
-    const nn::LstmFixed& model, nn::LstmFixed::State state,
-    std::vector<double> x, const SubmitOptions& submit_options) {
-  LstmRequest payload;
-  payload.model = &model;
-  payload.state = std::move(state);
-  payload.x = std::move(x);
-  return enqueue<nn::LstmFixed::State>(std::move(payload), submit_options);
+  Request request;
+  request.input = std::move(logits);
+  return enqueue(std::move(request), submit_options);
 }
 
 bool InferenceServer::try_steal(std::size_t shard_index) {
@@ -505,8 +482,8 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
         handled[i] = true;
         shed_deadline_.add();
         finish(group[i]);
-        fail_request(group[i],
-                     std::make_exception_ptr(DeadlineExpiredError{}));
+        group[i].result.set_exception(
+            std::make_exception_ptr(DeadlineExpiredError{}));
       }
     }
   }
@@ -521,10 +498,9 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
     members.clear();
     std::size_t total = 0;
     for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto* act = std::get_if<ActivationRequest>(&group[i].payload);
-      if (!handled[i] && act != nullptr && act->function == f) {
+      if (!handled[i] && group[i].function == f) {
         members.push_back(i);
-        total += act->input.size();
+        total += group[i].input.size();
       }
     }
     if (members.size() < 2) {
@@ -534,8 +510,7 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
     in.clear();
     in.reserve(total);
     for (const std::size_t i : members) {
-      const auto& act = std::get<ActivationRequest>(group[i].payload);
-      in.insert(in.end(), act.input.begin(), act.input.end());
+      in.insert(in.end(), group[i].input.begin(), group[i].input.end());
     }
     try {
       shard.scratch_out.assign(total,
@@ -547,18 +522,18 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
       coalesced_elems_.record(total);
       std::size_t offset = 0;
       for (const std::size_t i : members) {
-        auto& act = std::get<ActivationRequest>(group[i].payload);
-        const std::size_t n = act.input.size();
+        Request& request = group[i];
+        const std::size_t n = request.input.size();
         // The input vector is dead once evaluated — recycle it as the
         // result buffer so the coalesced path allocates nothing per
         // request beyond the promise's shared state.
         std::copy(out.begin() + static_cast<std::ptrdiff_t>(offset),
                   out.begin() + static_cast<std::ptrdiff_t>(offset + n),
-                  act.input.begin());
+                  request.input.begin());
         offset += n;
         handled[i] = true;
-        finish(group[i]);
-        act.result.set_value(std::move(act.input));
+        finish(request);
+        request.result.set_value(std::move(request.input));
       }
     } catch (...) {
       // A bad request poisons the whole coalesced call (e.g. an input
@@ -572,9 +547,9 @@ void InferenceServer::execute_group(Shard& shard, std::vector<Request> group) {
       }
     }
   }
-  // Everything else — softmax rows, model passes, lone activations — runs
-  // one engine/model call per request. The engine still fans large calls
-  // out across the thread pool internally.
+  // Everything else — softmax rows and lone activations — runs one engine
+  // call per request. The engine still fans large calls out across the
+  // thread pool internally.
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (!handled[i]) {
       execute_one(shard, group[i]);
@@ -595,56 +570,39 @@ void InferenceServer::execute_one(Shard& shard, Request& request) {
   // observes the counters (promise synchronisation publishes the
   // sequenced-before increments). Hence compute first, then account, then
   // publish.
-  std::visit(
-      [&](auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        using Value = decltype(r.result.get_future().get());
-        std::optional<Value> value;
-        std::exception_ptr error;
-        try {
-          if constexpr (std::is_same_v<T, ActivationRequest>) {
-            std::vector<fp::Fixed> out(
-                r.input.size(), fp::Fixed::zero(shard.engine->format()));
-            if (evaluate_activation(shard, r.function, r.input, out)) {
-              degraded_requests_.add();
-            }
-            value = std::move(out);
-          } else if constexpr (std::is_same_v<T, SoftmaxRequest>) {
-            const auto exp_fi = static_cast<std::size_t>(Function::Exp);
-            if ((shard.health.quarantined() & (1u << exp_fi)) != 0) {
-              // Softmax reads the exp table; quarantined → the scalar
-              // unit's softmax (bit-identical by construction).
-              degraded_requests_.add();
-              value = shard.engine->unit().softmax(r.logits);
-            } else {
-              std::vector<fp::Fixed> out = shard.engine->softmax(r.logits);
-              if (shard.verify &&
-                  !verify_softmax(*checker_, *shard.engine, r.logits)) {
-                on_detection(shard, exp_fi);
-                degraded_requests_.add();
-                out = shard.engine->unit().softmax(r.logits);
-              }
-              value = std::move(out);
-            }
-          } else if constexpr (std::is_same_v<T, MlpRequest>) {
-            // Model passes run on the model's own engine — outside the
-            // shard's fault/verify domain (see src/fault/README.md).
-            value = r.model->predict_proba(r.input);
-          } else {
-            static_assert(std::is_same_v<T, LstmRequest>);
-            value = r.model->step(r.state, r.x);
-          }
-        } catch (...) {
-          error = std::current_exception();
-        }
-        finish(request);
-        if (value) {
-          r.result.set_value(std::move(*value));
-        } else {
-          r.result.set_exception(std::move(error));
-        }
-      },
-      request.payload);
+  std::vector<fp::Fixed> out;
+  std::exception_ptr error;
+  try {
+    const auto exp_fi = static_cast<std::size_t>(Function::Exp);
+    if (request.function) {
+      out.assign(request.input.size(),
+                 fp::Fixed::zero(shard.engine->format()));
+      if (evaluate_activation(shard, *request.function, request.input, out)) {
+        degraded_requests_.add();
+      }
+    } else if ((shard.health.quarantined() & (1u << exp_fi)) != 0) {
+      // Softmax reads the exp table; quarantined → the scalar unit's
+      // softmax (bit-identical by construction).
+      degraded_requests_.add();
+      out = shard.engine->unit().softmax(request.input);
+    } else {
+      out = shard.engine->softmax(request.input);
+      if (shard.verify &&
+          !verify_softmax(*checker_, *shard.engine, request.input)) {
+        on_detection(shard, exp_fi);
+        degraded_requests_.add();
+        out = shard.engine->unit().softmax(request.input);
+      }
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  finish(request);
+  if (error) {
+    request.result.set_exception(std::move(error));
+  } else {
+    request.result.set_value(std::move(out));
+  }
 }
 
 bool InferenceServer::evaluate_activation(Shard& shard, Function f,
@@ -852,7 +810,7 @@ void InferenceServer::requeue_or_fail(Request&& request) {
   }
   retry_exhausted_.add();
   finish(request);
-  fail_request(request, std::make_exception_ptr(ShardFailedError{}));
+  request.result.set_exception(std::make_exception_ptr(ShardFailedError{}));
 }
 
 }  // namespace nacu::serve

@@ -2,8 +2,8 @@
 //
 // The missing piece between "a fast datapath" and "a system that serves
 // traffic": many concurrent clients submit per-request work — an
-// element-wise activation batch, a softmax row, a whole QuantizedMlp or
-// LstmFixed forward pass — and get std::futures back. Where the first
+// element-wise activation batch or a softmax row, the NACU's own
+// operations — and get std::futures back. Where the first
 // serving layer funnelled every submitter through one mutex into one
 // dispatcher thread (the measured scaling ceiling: requests/s *fell* as
 // clients grew), this server scales out:
@@ -34,7 +34,7 @@
 // Contracts, each proven by tests/test_serving.cpp, tests/
 // test_admission.cpp, and tests/test_resilience.cpp:
 //
-//  * bit-identity — results equal direct BatchNacu/model calls raw-for-raw
+//  * bit-identity — results equal direct BatchNacu calls raw-for-raw
 //    no matter the shard count, the stealing schedule, how requests were
 //    coalesced into groups, whether a retry re-ran the request, or whether
 //    the serving path was quarantined down to the scalar unit. Every
@@ -139,18 +139,6 @@ class InferenceServer {
   /// One Eq. 13 softmax row over @p logits.
   [[nodiscard]] std::future<std::vector<fp::Fixed>> submit_softmax(
       std::vector<fp::Fixed> logits, const SubmitOptions& submit_options = {});
-
-  /// Full forward pass: future resolves to model.predict_proba(input).
-  /// @p model is borrowed — keep it alive until the future resolves.
-  [[nodiscard]] std::future<std::vector<double>> submit_mlp(
-      const nn::QuantizedMlp& model, std::vector<double> input,
-      const SubmitOptions& submit_options = {});
-
-  /// One LSTM cell step: future resolves to model.step(state, x).
-  /// @p model is borrowed — keep it alive until the future resolves.
-  [[nodiscard]] std::future<nn::LstmFixed::State> submit_lstm(
-      const nn::LstmFixed& model, nn::LstmFixed::State state,
-      std::vector<double> x, const SubmitOptions& submit_options = {});
 
   /// Stop admission, drain every accepted request across every shard,
   /// join the supervisor and dispatchers, fail-or-finish any orphans.
@@ -265,9 +253,8 @@ class InferenceServer {
   /// Admission: preadmit (deadline/quota), stamp, then route from the
   /// home shard. Returns the future tied to the enqueued promise; throws
   /// instead of enqueueing on any rejection.
-  template <typename Result, typename Payload>
-  [[nodiscard]] std::future<Result> enqueue(Payload payload,
-                                            const SubmitOptions& submit_options);
+  [[nodiscard]] std::future<std::vector<fp::Fixed>> enqueue(
+      Request request, const SubmitOptions& submit_options);
 
   /// Push @p request into shard @p start or — when it is full — probe the
   /// others once around, skipping shards whose circuit refuses; when every
@@ -290,9 +277,9 @@ class InferenceServer {
   /// Steal from the most loaded other shard into @p shard_index's batcher.
   [[nodiscard]] bool try_steal(std::size_t shard_index);
   /// Execute one dispatch group on @p shard: shed expired deadlines,
-  /// coalesce activations per function, run everything else per request,
-  /// verify table-path results when armed, fulfil every promise exactly
-  /// once.
+  /// coalesce activations per function, run softmax rows and lone
+  /// activations per request, verify table-path results when armed, fulfil
+  /// every promise exactly once.
   void execute_group(Shard& shard, std::vector<Request> group);
   /// Non-coalesced execution of one request (also the error-isolation
   /// fallback when a coalesced evaluation throws), including its finish().

@@ -51,26 +51,17 @@ struct FakeClock {
   void advance(std::chrono::nanoseconds d) { ns->fetch_add(d.count()); }
 };
 
-TEST(Admission, DepthLimitsArePriorityFractionsOfShardCapacity) {
-  AdmissionOptions options;
-  options.high_depth_fraction = 1.0;
-  options.normal_depth_fraction = 0.75;
-  options.best_effort_depth_fraction = 0.25;
-  AdmissionController controller{options, 16};
-  EXPECT_EQ(controller.depth_limit(Priority::High), 16u);
-  EXPECT_EQ(controller.depth_limit(Priority::Normal), 12u);
-  EXPECT_EQ(controller.depth_limit(Priority::BestEffort), 4u);
-}
-
-TEST(Admission, DepthFractionsClampAndNeverConfigureAClassOut) {
-  AdmissionOptions options;
-  options.high_depth_fraction = 2.5;   // above 1 → full capacity
-  options.normal_depth_fraction = 0.0;  // zero → still one slot
-  options.best_effort_depth_fraction = -1.0;
-  AdmissionController controller{options, 8};
-  EXPECT_EQ(controller.depth_limit(Priority::High), 8u);
-  EXPECT_EQ(controller.depth_limit(Priority::Normal), 1u);
-  EXPECT_EQ(controller.depth_limit(Priority::BestEffort), 1u);
+TEST(Admission, BestEffortGetsHalfTheShardCapacityAndNeverLessThanOneSlot) {
+  // High and Normal may fill the whole shard; BestEffort gets
+  // max(1, capacity / 2), so it is throttled but never configured out.
+  for (const auto& [capacity, best_effort] :
+       {std::pair<std::size_t, std::size_t>{16, 8}, {7, 3}, {1, 1}}) {
+    AdmissionController controller{AdmissionOptions{}, capacity};
+    EXPECT_EQ(controller.depth_limit(Priority::High), capacity);
+    EXPECT_EQ(controller.depth_limit(Priority::Normal), capacity);
+    EXPECT_EQ(controller.depth_limit(Priority::BestEffort), best_effort)
+        << "capacity " << capacity;
+  }
 }
 
 TEST(Admission, TokenBucketEnforcesBurstThenRefillsAtTheConfiguredRate) {

@@ -28,16 +28,13 @@ TimePoint t0() { return TimePoint{} + std::chrono::hours{7}; }
 /// the tag identifies it through take_group.
 Request tagged(TimePoint at, std::size_t tag) {
   Request request;
-  ActivationRequest payload;
-  payload.input.assign(tag, fp::Fixed::from_raw(0, fp::Format{8, 7}));
-  request.payload = std::move(payload);
+  request.function = core::BatchNacu::Function::Sigmoid;
+  request.input.assign(tag, fp::Fixed::from_raw(0, fp::Format{8, 7}));
   request.enqueued_at = at;
   return request;
 }
 
-std::size_t tag_of(const Request& request) {
-  return std::get<ActivationRequest>(request.payload).input.size();
-}
+std::size_t tag_of(const Request& request) { return request.input.size(); }
 
 TEST(MicroBatcher, FlushesOnMaxBatchRegardlessOfAge) {
   BatcherOptions options;

@@ -3,21 +3,22 @@
 //
 // Three claims pinned here:
 //  * transport transparency — results served over TCP are bit-identical
-//    to direct core::BatchNacu / model evaluation (the serving layer's
-//    central claim extended one more layer out), for activations,
-//    softmax rows, and hosted-MLP forward passes, including pipelined
-//    and multi-connection traffic, many frames in one write, frames
-//    larger than the reader's starting buffer, a Client that holds sends
-//    while responses sit unread, and one Client shared by a sender and a
-//    reader thread;
+//    to direct core::BatchNacu evaluation (the serving layer's central
+//    claim extended one more layer out), for activations and softmax
+//    rows, the only requests nacu-wire carries, including pipelined and
+//    multi-connection traffic, many frames in one write, frames larger
+//    than the reader's starting buffer, a Client that holds sends while
+//    responses sit unread, and one Client shared by a sender and a reader
+//    thread;
 //  * robustness — a hostile or broken byte stream (torn 1-byte writes,
-//    zero-length and oversized frames, garbage opcodes, truncated
-//    payloads, out-of-format raws, a client vanishing mid-request) never
-//    crashes the server and never leaks a pending promise: framing-level
-//    damage closes that one connection, payload-level damage is answered
-//    with a typed kBadRequest frame on a connection that keeps serving,
-//    and in every case the server still accepts fresh connections and
-//    the inference layer's accepted == completed invariant holds;
+//    zero-length and oversized frames, garbage and retired opcodes,
+//    truncated payloads, out-of-format raws, a client vanishing
+//    mid-request) never crashes the server and never leaks a pending
+//    promise: framing-level damage closes that one connection,
+//    payload-level damage is answered with a typed kBadRequest frame on a
+//    connection that keeps serving, and in every case the server still
+//    accepts fresh connections and the inference layer's accepted ==
+//    completed invariant holds;
 //  * graceful drain — shutdown() under live multi-connection load
 //    answers every request that reached the inference layer on the wire
 //    before closing (stats().requests_submitted == responses_written),
@@ -25,8 +26,8 @@
 //  * one set of books — stats() and counters() are snapshots of each
 //    server's own registry, so two stacks in one process never mix counts;
 //  * hostile payloads — a seeded mutation fuzzer pipelines byte-flipped,
-//    truncated and extended Submit, SubmitSoftmax and SubmitMlp frames
-//    and every one is answered, in order, on a connection that survives;
+//    truncated and extended Submit and SubmitSoftmax frames and every one
+//    is answered, in order, on a connection that survives;
 //  * nacu-wire v2 raw bodies — a Q4.11 element costs 2 wire bytes, one
 //    raw outside int16 widens its body to 8, both widths decode to the
 //    same raws, every cut point decodes as a bad length, an unknown width
@@ -39,6 +40,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -56,8 +58,6 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
-#include "nn/dataset.hpp"
-#include "nn/quantized_mlp.hpp"
 #include "nn/rng.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
@@ -107,16 +107,6 @@ std::vector<std::int64_t> raws_of(const std::vector<fp::Fixed>& values) {
     raws.push_back(v.raw());
   }
   return raws;
-}
-
-/// A 2-input, 3-class MLP trained on blobs, for the hosted-model tests.
-nn::QuantizedMlp blob_mlp(const NacuConfig& config) {
-  nn::MlpConfig mlp_config;
-  mlp_config.layer_sizes = {2, 10, 3};
-  mlp_config.epochs = 30;
-  nn::Mlp reference{mlp_config};
-  reference.train(nn::make_blobs(30, 3));
-  return nn::QuantizedMlp{reference, config};
 }
 
 /// Whether @p json, a Registry::to_json dump, holds counter @p name at
@@ -415,70 +405,6 @@ TEST(Net, SoftmaxOverTcpMatchesDirectRows) {
   }
 }
 
-TEST(Net, HostedMlpForwardPassMatchesDirectPredictProba) {
-  const NacuConfig config = config_for_bits(16);
-  const nn::Dataset data = nn::make_blobs(30, 3);
-  nn::MlpConfig mlp_config;
-  mlp_config.layer_sizes = {2, 10, 3};
-  mlp_config.epochs = 30;
-  nn::Mlp reference{mlp_config};
-  reference.train(data);
-  const nn::QuantizedMlp model{reference, config};
-
-  serve::InferenceServer inference{config};
-  NetServerOptions net_options;
-  net_options.mlp = &model;
-  NetServer server{inference, net_options};
-  Client client{server.port()};
-  ASSERT_TRUE(client.valid());
-
-  for (std::size_t s = 0; s < data.size(); ++s) {
-    const std::vector<double> input{data.inputs(s, 0), data.inputs(s, 1)};
-    const std::uint64_t id = client.send_mlp(input);
-    ASSERT_NE(id, 0u);
-    const auto response = client.read_response();
-    ASSERT_TRUE(response.has_value());
-    ASSERT_TRUE(response->ok()) << response->message;
-    EXPECT_EQ(response->doubles, model.predict_proba(input)) << "sample " << s;
-  }
-}
-
-TEST(Net, MlpInputOfTheWrongWidthGetsBadRequestAndTheConnectionKeepsServing) {
-  const NacuConfig config = config_for_bits(16);
-  const nn::QuantizedMlp model = blob_mlp(config);
-  serve::InferenceServer inference{config};
-  NetServerOptions net_options;
-  net_options.mlp = &model;
-  NetServer server{inference, net_options};
-  Client client{server.port()};
-  ASSERT_TRUE(client.valid());
-  // Too narrow once read a truncated dot product; too wide read past
-  // every weight row.
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4096}}) {
-    ASSERT_NE(client.send_mlp(std::vector<double>(width, 0.25)), 0u);
-    const auto response = client.read_response();
-    ASSERT_TRUE(response.has_value()) << "width " << width;
-    EXPECT_EQ(response->error, ErrorCode::kBadRequest) << "width " << width;
-  }
-  const std::vector<double> input{0.5, -0.25};
-  ASSERT_NE(client.send_mlp(input), 0u);
-  const auto response = client.read_response();
-  ASSERT_TRUE(response.has_value());
-  ASSERT_TRUE(response->ok()) << response->message;
-  EXPECT_EQ(response->doubles, model.predict_proba(input));
-}
-
-TEST(Net, MlpWithoutHostedModelAnswersUnsupported) {
-  NetFixture fx;  // no mlp in NetServerOptions
-  Client client{fx.server.port()};
-  ASSERT_TRUE(client.valid());
-  const std::vector<double> input{0.5, -0.5};
-  ASSERT_NE(client.send_mlp(input), 0u);
-  const auto response = client.read_response();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->error, ErrorCode::kUnsupported);
-}
-
 // -- typed error frames ------------------------------------------------------
 
 TEST(Net, ExpiredDeadlineComesBackAsTypedErrorFrame) {
@@ -610,15 +536,27 @@ TEST(Net, GarbageOpcodeGetsBadRequestAndTheConnectionKeepsServing) {
   Client client{fx.server.port()};
   ASSERT_TRUE(client.valid());
   // A well-framed payload with a nonsense opcode and a parseable id.
-  ByteWriter w;
-  w.u8(0x7F);
-  w.u64(42);
-  const std::vector<std::uint8_t> frame = finish_frame(w.take());
-  ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
-  const auto response = client.read_response();
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->id, 42u);
-  EXPECT_EQ(response->error, ErrorCode::kBadRequest);
+  ByteWriter garbage;
+  garbage.u8(0x7F);
+  garbage.u64(42);
+  // A well-formed v3 SubmitMlp payload: two f64 model inputs. Opcode 0x03
+  // is retired in v4 and is answered like any unknown opcode.
+  ByteWriter retired;
+  retired.u8(0x03);
+  retired.u64(43);
+  encode_submit_options(retired, {});
+  retired.u32(2);
+  retired.u64(std::bit_cast<std::uint64_t>(0.5));
+  retired.u64(std::bit_cast<std::uint64_t>(-0.25));
+  for (auto [writer, id] : {std::pair{&garbage, std::uint64_t{42}},
+                            std::pair{&retired, std::uint64_t{43}}}) {
+    const std::vector<std::uint8_t> frame = finish_frame(writer->take());
+    ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
+    const auto response = client.read_response();
+    ASSERT_TRUE(response.has_value()) << "id " << id;
+    EXPECT_EQ(response->id, id);
+    EXPECT_EQ(response->error, ErrorCode::kBadRequest) << "id " << id;
+  }
   // Same connection, next request: still served.
   const std::vector<fp::Fixed> input{fp::Fixed::zero(client.format())};
   EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
@@ -1232,11 +1170,8 @@ std::uint64_t echoed_id(std::span<const std::uint8_t> payload) {
 
 TEST(Net, SeededWireMutantsAreEachAnsweredInOrderOnOneConnection) {
   const NacuConfig config = config_for_bits(16);
-  const nn::QuantizedMlp model = blob_mlp(config);
   serve::InferenceServer inference{config};
-  NetServerOptions net_options;
-  net_options.mlp = &model;
-  NetServer server{inference, net_options};
+  NetServer server{inference};
   const BatchNacu direct{config};
   Client client{server.port()};
   ASSERT_TRUE(client.valid());
@@ -1259,8 +1194,7 @@ TEST(Net, SeededWireMutantsAreEachAnsweredInOrderOnOneConnection) {
                             raws_of(random_batch(rng, config.format, 3)),
                             with_deadline)),
       payload(encode_submit_softmax(
-          3, raws_of(random_batch(rng, config.format, 5)), {})),
-      payload(encode_submit_mlp(4, std::vector<double>{0.5, -0.25}, {}))};
+          3, raws_of(random_batch(rng, config.format, 5)), {}))};
 
   // Byte flips, truncations (never below the opcode, so no length prefix
   // is zero) and appended bytes; each mutant is re-framed with its own

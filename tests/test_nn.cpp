@@ -315,6 +315,18 @@ TEST_F(QuantizedMlpFixture, NarrowerFormatsDegradeGracefully) {
   EXPECT_GT(acc10, 0.6);  // still far above chance at 10 bits
 }
 
+TEST_F(QuantizedMlpFixture, PredictProbaRejectsAnInputOfTheWrongWidth) {
+  // The MAC loop reads one weight per input element: a narrower input
+  // would compute a truncated dot product, a wider one read past the row.
+  const QuantizedMlp q{*mlp_, core::config_for_bits(16)};
+  for (const std::size_t width : {0u, 1u, 3u, 64u}) {
+    EXPECT_THROW((void)q.predict_proba(std::vector<double>(width, 0.25)),
+                 std::invalid_argument)
+        << "width " << width;
+  }
+  EXPECT_EQ(q.predict_proba({0.5, -0.25}).size(), 3u);
+}
+
 TEST(QuantizedMlp, RejectsOutOfRangeWeights) {
   MlpConfig config;
   config.layer_sizes = {2, 4, 2};

@@ -1,21 +1,22 @@
 // Serving-layer differential and stress coverage.
 //
 // The central claim: results delivered through the async InferenceServer
-// are bit-identical to direct core::BatchNacu / model evaluation, no
-// matter how the dynamic micro-batcher coalesces concurrent requests into
-// dispatch groups. The differential sweep proves it for every NacuConfig
-// variant the batch engine's own differential test covers, under
-// multi-threaded clients and three very different batching policies.
-// dispatch groups — and, since the scale-out, no matter how many
-// dispatcher shards the work spreads over or how work stealing reshuffles
-// it: a full shards × max_batch × config matrix plus a single-thread-burst
-// stealing test pin it down. Around that: ShardQueue unit coverage (exact
-// depth accounting, steal transfer, stop semantics), exact backpressure at
-// the high-water mark, the graceful-shutdown drain guarantee raced against
-// bursty unbalanced submitters, per-request error isolation inside
-// coalesced groups, and the obs:: serving metrics. The whole binary also
-// runs under the CI TSan job (serving-smoke) — submission, dispatch,
-// stealing, and shutdown are the concurrency surface.
+// — activation batches and softmax rows, the one request shape it serves —
+// are bit-identical to direct core::BatchNacu evaluation, no matter how
+// the dynamic micro-batcher coalesces concurrent requests into dispatch
+// groups. The differential sweep proves it for every NacuConfig variant
+// the batch engine's own differential test covers, under multi-threaded
+// clients and three very different batching policies. It holds too no
+// matter how many dispatcher shards the work spreads over or how work
+// stealing reshuffles it: a full shards × max_batch × config matrix plus
+// a single-thread-burst stealing test pin it down. Around that:
+// ShardQueue unit coverage (exact depth accounting, steal transfer, stop
+// semantics), exact backpressure at the high-water mark, the
+// graceful-shutdown drain guarantee raced against bursty unbalanced
+// submitters, per-request error isolation inside coalesced groups, and
+// the obs:: serving metrics. The whole binary also runs under the CI TSan
+// job (serving-smoke) — submission, dispatch, stealing, and shutdown are
+// the concurrency surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,9 +31,6 @@
 #include <vector>
 
 #include "core/batch_nacu.hpp"
-#include "nn/dataset.hpp"
-#include "nn/lstm.hpp"
-#include "nn/quantized_mlp.hpp"
 #include "nn/rng.hpp"
 #include "obs/metrics.hpp"
 #include "serve/micro_batcher.hpp"
@@ -226,60 +224,6 @@ TEST(Serving, SoftmaxRowsMatchDirectEvaluation) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       expect_bit_equal(futures[r].get(), direct.softmax(rows[r]),
                        std::string{name} + " row " + std::to_string(r));
-    }
-  }
-}
-
-TEST(Serving, ModelForwardPassesMatchDirectCalls) {
-  // Full QuantizedMlp and LstmFixed forward passes through the server equal
-  // direct model calls — same code path, now behind the dispatcher.
-  const NacuConfig config = config_for_bits(16);
-  const nn::Dataset data = nn::make_blobs(30, 3);
-  nn::MlpConfig mlp_config;
-  mlp_config.layer_sizes = {2, 10, 3};
-  mlp_config.epochs = 30;
-  nn::Mlp reference{mlp_config};
-  reference.train(data);
-  const nn::QuantizedMlp model{reference, config};
-
-  const nn::LstmWeights weights = nn::LstmWeights::random(6, 8);
-  const nn::LstmFixed lstm{weights, config};
-
-  ServerOptions options;
-  options.batcher.max_batch = 8;
-  InferenceServer server{config, options};
-
-  std::vector<std::future<std::vector<double>>> mlp_futures;
-  for (std::size_t s = 0; s < data.size(); ++s) {
-    const std::vector<double> input{data.inputs(s, 0), data.inputs(s, 1)};
-    mlp_futures.push_back(server.submit_mlp(model, input));
-  }
-  nn::Rng rng{17};
-  nn::LstmFixed::State state = lstm.initial_state();
-  std::vector<std::vector<double>> xs;
-  std::vector<std::future<nn::LstmFixed::State>> lstm_futures;
-  for (int t = 0; t < 8; ++t) {
-    std::vector<double> x(6);
-    for (double& v : x) {
-      v = rng.uniform(-1.0, 1.0);
-    }
-    lstm_futures.push_back(server.submit_lstm(lstm, state, x));
-    xs.push_back(std::move(x));
-  }
-
-  for (std::size_t s = 0; s < data.size(); ++s) {
-    const std::vector<double> input{data.inputs(s, 0), data.inputs(s, 1)};
-    const std::vector<double> want = model.predict_proba(input);
-    const std::vector<double> got = mlp_futures[s].get();
-    ASSERT_EQ(got, want) << "sample " << s;
-  }
-  for (std::size_t t = 0; t < xs.size(); ++t) {
-    const nn::LstmFixed::State want = lstm.step(state, xs[t]);
-    const nn::LstmFixed::State got = lstm_futures[t].get();
-    ASSERT_EQ(got.h.size(), want.h.size());
-    for (std::size_t i = 0; i < want.h.size(); ++i) {
-      ASSERT_EQ(got.h[i].raw(), want.h[i].raw()) << "step " << t;
-      ASSERT_EQ(got.c[i].raw(), want.c[i].raw()) << "step " << t;
     }
   }
 }
@@ -503,15 +447,12 @@ TEST(Serving, EmptyRequestsResolveToEmptyResults) {
 /// the tag identifies it through drains and steals.
 Request tagged_request(std::size_t tag) {
   Request request;
-  ActivationRequest payload;
-  payload.input.assign(tag, fp::Fixed::from_raw(0, fp::Format{8, 7}));
-  request.payload = std::move(payload);
+  request.function = Function::Sigmoid;
+  request.input.assign(tag, fp::Fixed::from_raw(0, fp::Format{8, 7}));
   return request;
 }
 
-std::size_t tag_of(const Request& request) {
-  return std::get<ActivationRequest>(request.payload).input.size();
-}
+std::size_t tag_of(const Request& request) { return request.input.size(); }
 
 TEST(ShardQueue, TryPushEnforcesDepthLimitsExactlyAndMovesOnlyOnOk) {
   ShardQueue queue{4};
@@ -933,21 +874,18 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
       std::chrono::nanoseconds{123456789}};
   const auto make = [&] {
     Request request;
-    ActivationRequest payload;
-    payload.function = Function::Exp;
-    payload.input = {fp::Fixed::from_raw(-301, fmt),
+    request.function = Function::Exp;
+    request.input = {fp::Fixed::from_raw(-301, fmt),
                      fp::Fixed::from_raw(77, fmt)};
-    request.payload = std::move(payload);
     request.deadline = deadline;
     request.retries_left = 3;
     return request;
   };
   const auto expect_intact = [&](const Request& request, const char* after) {
-    const auto& payload = std::get<ActivationRequest>(request.payload);
-    ASSERT_EQ(payload.input.size(), 2u) << after;
-    EXPECT_EQ(payload.input[0].raw(), -301) << after;
-    EXPECT_EQ(payload.input[1].raw(), 77) << after;
-    EXPECT_EQ(payload.function, Function::Exp) << after;
+    ASSERT_EQ(request.input.size(), 2u) << after;
+    EXPECT_EQ(request.input[0].raw(), -301) << after;
+    EXPECT_EQ(request.input[1].raw(), 77) << after;
+    EXPECT_EQ(request.function, Function::Exp) << after;
     ASSERT_TRUE(request.deadline.has_value()) << after;
     EXPECT_EQ(*request.deadline, deadline) << after;
     EXPECT_EQ(request.retries_left, 3u) << after;
@@ -963,13 +901,11 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
   EXPECT_EQ(full_queue.try_push(request, 1), ShardQueue::Push::Full);
   expect_intact(request, "after Full");
   // The promise still has its shared state and no future taken from it.
-  std::future<std::vector<fp::Fixed>> future =
-      std::get<ActivationRequest>(request.payload).result.get_future();
+  std::future<std::vector<fp::Fixed>> future = request.result.get_future();
   EXPECT_EQ(stopped_queue.try_push(request, 1), ShardQueue::Push::Stopped);
   expect_intact(request, "after Stopped");
   // ... and fulfilling it still reaches that future.
-  std::get<ActivationRequest>(request.payload)
-      .result.set_value({fp::Fixed::from_raw(5, fmt)});
+  request.result.set_value({fp::Fixed::from_raw(5, fmt)});
   ASSERT_EQ(future.wait_for(std::chrono::seconds{0}),
             std::future_status::ready);
   const std::vector<fp::Fixed> got = future.get();
@@ -991,14 +927,9 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
   const std::vector<fp::Fixed> want = engine.evaluate(Function::Tanh, input);
 
   Request request;
-  {
-    ActivationRequest payload;
-    payload.function = Function::Tanh;
-    payload.input = input;
-    request.payload = std::move(payload);
-  }
-  std::future<std::vector<fp::Fixed>> future =
-      std::get<ActivationRequest>(request.payload).result.get_future();
+  request.function = Function::Tanh;
+  request.input = input;
+  std::future<std::vector<fp::Fixed>> future = request.result.get_future();
 
   ShardQueue full_queue{1};
   Request filler = tagged_request(1);
@@ -1019,8 +950,8 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
   home.on_taken(group.size());
   ASSERT_EQ(group.size(), 1u);
 
-  auto& payload = std::get<ActivationRequest>(group.front().payload);
-  payload.result.set_value(engine.evaluate(payload.function, payload.input));
+  Request& taken = group.front();
+  taken.result.set_value(engine.evaluate(*taken.function, taken.input));
   const std::vector<fp::Fixed> got = future.get();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
