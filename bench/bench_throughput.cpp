@@ -419,14 +419,14 @@ int main(int argc, char** argv) {
       record("softmax", table_simd_label.c_str(), 1, n, softmax_s,
              table_simd.table_resident_bytes(core::BatchNacu::Function::Exp));
     }
-    // === Working-set sweep: live configs × table mode × backend ===
+    // === Working-set sweep: live configs × backend ===
     // Many deployed configs share one cache. Each cell builds `configs`
     // engines with *distinct* NacuConfigs (different LUT geometries →
     // different table contents), warms σ + tanh on each, then streams the
     // same total element count through them — so every cell does identical
-    // arithmetic and differs only in resident table bytes. Dense at 8
-    // configs is 8 × 2 × 128 KiB = 2 MiB of tables (a typical L2);
-    // HalfRange halves that; Pwl collapses it to a few KiB.
+    // arithmetic and differs only in resident table bytes. The tables take
+    // the layout that ships, the half-range fold: 8 configs hold
+    // 8 × 2 × 64 KiB = 1 MiB of tables, where Dense would need 2 MiB.
     //
     // Methodology: every evaluation uses the *same* small scrambled input
     // chunk (uniform over the raw range, so gathers hit the tables
@@ -435,29 +435,20 @@ int main(int argc, char** argv) {
     // tables must survive the other configs' gathers to stay resident.
     // Rounds scale inversely with `configs` so total work per cell is
     // constant and only the live table footprint varies.
-    std::printf("\n=== Working-set sweep: live configs x table mode ===\n");
-    std::printf("  %-8s %-6s %8s %12s %12s\n", "backend", "mode", "configs",
-                "tables KiB", "elems/s");
+    std::printf("\n=== Working-set sweep: live configs ===\n");
+    std::printf("  %-8s %8s %12s %12s\n", "backend", "configs", "tables KiB",
+                "elems/s");
     {
       const std::size_t kSweepLutEntries[8] = {53, 61, 71, 47,
                                                59, 67, 73, 79};
-      struct ModeRow {
-        core::BatchNacu::TableMode mode;
-        const char* name;
-      };
-      const ModeRow modes[] = {
-          {core::BatchNacu::TableMode::Dense, "dense"},
-          {core::BatchNacu::TableMode::HalfRange, "half"},
-          {core::BatchNacu::TableMode::Pwl, "pwl"},
-      };
       std::vector<std::pair<simd::Backend, const char*>> sweep_backends;
       sweep_backends.emplace_back(simd::Backend::Scalar, "scalar");
       if (simd::avx2_available()) {
         sweep_backends.emplace_back(simd::Backend::Avx2, "avx2");
       }
-      // Small chunks force frequent engine hand-offs: a mode whose live
-      // tables exceed the L2 re-faults lines on every visit, one that fits
-      // streams at full gather speed after the first round.
+      // Small chunks force frequent engine hand-offs: live tables that
+      // exceed the L2 re-fault lines on every visit, tables that fit
+      // stream at full gather speed after the first round.
       const std::size_t kChunk = 4096;
       const std::size_t kRoundsAtOne = 128;  // rounds × configs is constant
       // Scrambled chunk: a fixed LCG walk over the full raw range, shared
@@ -487,7 +478,6 @@ int main(int argc, char** argv) {
       // passes. A burst then costs one pass of a few cells, not a cell.
       struct SweepCell {
         const char* backend_name;
-        const char* mode_name;
         std::size_t configs;
         std::size_t rounds;
         std::size_t resident;
@@ -496,28 +486,24 @@ int main(int argc, char** argv) {
       };
       std::vector<SweepCell> cells;
       for (const auto& [backend, backend_name] : sweep_backends) {
-        for (const ModeRow& mode : modes) {
-          for (const std::size_t configs : {std::size_t{1}, std::size_t{4},
-                                            std::size_t{8}}) {
-            SweepCell cell{backend_name, mode.name,   configs,
-                           kRoundsAtOne / configs, 0, {},
-                           1e100};
-            core::BatchNacu::Options opts;
-            opts.parallel_threshold = ~std::size_t{0};
-            opts.backend = backend;
-            opts.table_mode = mode.mode;
-            for (std::size_t c = 0; c < configs; ++c) {
-              cell.engines.push_back(std::make_unique<core::BatchNacu>(
-                  core::config_for_bits(16, kSweepLutEntries[c]), opts));
-              cell.engines.back()->warm(core::BatchNacu::Function::Sigmoid);
-              cell.engines.back()->warm(core::BatchNacu::Function::Tanh);
-              cell.resident += cell.engines.back()->table_resident_bytes(
-                                   core::BatchNacu::Function::Sigmoid) +
-                               cell.engines.back()->table_resident_bytes(
-                                   core::BatchNacu::Function::Tanh);
-            }
-            cells.push_back(std::move(cell));
+        for (const std::size_t configs : {std::size_t{1}, std::size_t{4},
+                                          std::size_t{8}}) {
+          SweepCell cell{backend_name, configs, kRoundsAtOne / configs, 0, {},
+                         1e100};
+          core::BatchNacu::Options opts;
+          opts.parallel_threshold = ~std::size_t{0};
+          opts.backend = backend;
+          for (std::size_t c = 0; c < configs; ++c) {
+            cell.engines.push_back(std::make_unique<core::BatchNacu>(
+                core::config_for_bits(16, kSweepLutEntries[c]), opts));
+            cell.engines.back()->warm(core::BatchNacu::Function::Sigmoid);
+            cell.engines.back()->warm(core::BatchNacu::Function::Tanh);
+            cell.resident += cell.engines.back()->table_resident_bytes(
+                                 core::BatchNacu::Function::Sigmoid) +
+                             cell.engines.back()->table_resident_bytes(
+                                 core::BatchNacu::Function::Tanh);
           }
+          cells.push_back(std::move(cell));
         }
       }
       const auto run_cell = [&](SweepCell& cell) {
@@ -543,13 +529,10 @@ int main(int argc, char** argv) {
       }
       for (const SweepCell& cell : cells) {
         const std::size_t swept = cell.rounds * cell.configs * 2 * kChunk;
-        std::printf("  %-8s %-6s %8zu %12zu %12.3e\n", cell.backend_name,
-                    cell.mode_name, cell.configs, cell.resident / 1024,
+        std::printf("  %-8s %8zu %12zu %12.3e\n", cell.backend_name,
+                    cell.configs, cell.resident / 1024,
                     static_cast<double>(swept) / cell.best_s);
-        std::string label = "sweep-";
-        label += cell.backend_name;
-        label += '-';
-        label += cell.mode_name;
+        const std::string label = std::string{"sweep-"} + cell.backend_name;
         record("sweep", label.c_str(), cell.configs, swept, cell.best_s,
                cell.resident);
       }

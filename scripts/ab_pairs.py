@@ -20,7 +20,9 @@ each side's median and quartiles, and the change's wins (pairs in which
 the change read better, in the direction BENCHMARK.json gives). It is
 printed as a Markdown table in the shape of docs/BENCHMARKS.md. A run
 that fails, returns a wrong result bit or reports failed requests stops
-the script with exit status 1.
+the script with exit status 1; for the last two, the error carries the
+run's steal reading and its serve-counter line (stalls, retried,
+retry_exhausted, rejected_overload).
 """
 
 import argparse
@@ -93,15 +95,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True, check=False)
     steal1, total1 = cpu_times()
+    steal = (steal1 - steal0) / (total1 - total0) if total1 > total0 else 0.0
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree} {workload} seed {seed}: "
                            f"exit {proc.returncode}")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"] != 0:
-        raise RuntimeError(f"{tree} {workload} seed {seed}: {lines[-1]}")
+        # The serve counters say whether a stall, a spent retry or a full
+        # queue failed the requests, and the steal reading how busy the
+        # host was.
+        counters = [line.strip() for line in lines
+                    if line.strip().startswith("serve stalls")]
+        raise RuntimeError(f"{tree} {workload} seed {seed}: "
+                           f"steal {steal:.2%}; "
+                           f"{'; '.join(counters) or 'no serve counters'}; "
+                           f"{lines[-1]}")
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    steal = (steal1 - steal0) / (total1 - total0) if total1 > total0 else 0.0
     return {"metrics": metrics, "steal": steal,
             "attempted": result["attempted"], "failed": result["failed"]}
 

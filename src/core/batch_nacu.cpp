@@ -10,9 +10,7 @@ namespace nacu::core {
 namespace {
 
 /// Process-wide resident bytes of built activation tables, across every
-/// live BatchNacu. Auto table-mode budgets new σ/tanh tables against it:
-/// adding another HalfRange table past kCacheBudgetBytes tips
-/// the build into the PWL form instead. Builds add under their call_once;
+/// live BatchNacu (live_table_bytes()). Builds add under their call_once;
 /// the destructor subtracts.
 std::atomic<std::size_t> g_live_table_bytes{0};
 
@@ -134,52 +132,33 @@ void BatchNacu::scrub_table(Function f) const {
   TableStore& store = tables_[index];
   // Rewrite the physical storage from the scalar datapath, in whatever
   // layout the build chose (the layout itself never changes post-publish).
-  switch (store.view.kind) {
-    case simd::TableKind::Dense:
-      for (std::size_t k = 0; k < store.entries.size(); ++k) {
-        store.entries[k] = static_cast<std::int16_t>(
-            scalar_raw(f, min_raw + static_cast<std::int64_t>(k)));
-      }
-      break;
-    case simd::TableKind::HalfSigmoid:
-    case simd::TableKind::HalfOdd: {
-      // Rebuild the published encoding: HalfSigmoid entries are
-      // corr-packed (sample | corr << 15, see simd/kernels.hpp), HalfOdd
-      // entries are plain samples. The build proved the corrections fit,
-      // and scalar_raw is the deterministic fault-free datapath, so the
-      // scrub re-derives the identical bits.
-      const std::int64_t one = store.view.one_raw;
-      for (std::int64_t r = 0; r <= max_raw; ++r) {
-        const std::int64_t yp = scalar_raw(f, r);
-        std::int64_t corr = 0;
-        if (one != 0 && r > 0) {
-          corr = scalar_raw(f, -r) - (one - yp);
-        }
-        store.entries[static_cast<std::size_t>(r)] =
-            static_cast<std::int16_t>(yp | (corr << 15));
-      }
-      // The pre-inverted |min_raw| slot (correction bit clear).
-      store.entries[static_cast<std::size_t>(max_raw) + 1] =
-          static_cast<std::int16_t>(one - scalar_raw(f, min_raw));
-      break;
+  if (store.view.kind == simd::TableKind::Dense) {
+    for (std::size_t k = 0; k < store.entries.size(); ++k) {
+      store.entries[k] = static_cast<std::int16_t>(
+          scalar_raw(f, min_raw + static_cast<std::int64_t>(k)));
     }
-    case simd::TableKind::Pwl: {
-      const bool tanh_mode = f == Function::Tanh;
-      for (std::size_t s = 0; s < store.pwl.segments; ++s) {
-        const Nacu::Coefficients pos = unit_.morph_coefficients(
-            s, tanh_mode ? Nacu::Mode::TanhPos : Nacu::Mode::SigmoidPos);
-        const Nacu::Coefficients neg = unit_.morph_coefficients(
-            s, tanh_mode ? Nacu::Mode::TanhNeg : Nacu::Mode::SigmoidNeg);
-        store.coeff_pos[s] = pos.coeff.raw();
-        store.bias_pos[s] = pos.bias.raw();
-        store.coeff_neg[s] = neg.coeff.raw();
-        store.bias_neg[s] = neg.bias.raw();
+  } else {
+    // Rebuild the published half-range encoding: HalfSigmoid entries are
+    // corr-packed (sample | corr << 15, see simd/kernels.hpp), HalfOdd
+    // entries are plain samples. The build proved the corrections fit,
+    // and scalar_raw is the deterministic fault-free datapath, so the
+    // scrub re-derives the identical bits.
+    const std::int64_t one = store.view.one_raw;
+    for (std::int64_t r = 0; r <= max_raw; ++r) {
+      const std::int64_t yp = scalar_raw(f, r);
+      std::int64_t corr = 0;
+      if (one != 0 && r > 0) {
+        corr = scalar_raw(f, -r) - (one - yp);
       }
-      break;
+      store.entries[static_cast<std::size_t>(r)] =
+          static_cast<std::int16_t>(yp | (corr << 15));
     }
+    // The pre-inverted |min_raw| slot (correction bit clear).
+    store.entries[static_cast<std::size_t>(max_raw) + 1] =
+        static_cast<std::int16_t>(one - scalar_raw(f, min_raw));
   }
   // Rewrite notifications cover the full *dense* word domain regardless of
-  // layout — the fault surface's addressing contract (PR 2) is dense words.
+  // layout — the fault surface's addressing contract is dense words.
   if (fault_port_ != nullptr) {
     const auto words = static_cast<std::size_t>(max_raw - min_raw + 1);
     for (std::size_t k = 0; k < words; ++k) {
@@ -204,105 +183,21 @@ std::int64_t BatchNacu::scalar_raw(Function f, std::int64_t raw) const {
 void BatchNacu::build_table(Function f, TableStore& store) const {
   static obs::Counter& half_rejected =
       obs::counter("core.batch_nacu.half_range_rejected");
-  static obs::Counter& pwl_rejected =
-      obs::counter("core.batch_nacu.pwl_rejected");
-  static obs::Counter& exp_dense =
-      obs::counter("core.batch_nacu.compressed_exp_forced_dense");
   const fp::Format fmt = unit_.format();
   const std::int64_t min_raw = fmt.min_raw();
   const std::int64_t max_raw = fmt.max_raw();
   const auto dense_count = static_cast<std::size_t>(max_raw - min_raw + 1);
-  // The dense sweep is always computed: it is the reference every
-  // compressed layout must reproduce bit-for-bit, and the fallback when
-  // one cannot.
+  // The dense sweep is always computed: it is the reference the half-range
+  // fold must reproduce bit-for-bit, and the table when it cannot.
   std::vector<std::int16_t> dense(dense_count);
   for (std::size_t k = 0; k < dense_count; ++k) {
     dense[k] = static_cast<std::int16_t>(
         scalar_raw(f, min_raw + static_cast<std::int64_t>(k)));
   }
 
-  TableMode mode = options_.table_mode;
-  if (f == Function::Exp && mode != TableMode::Dense) {
-    // e^x is not symmetric — Eq. 14 runs σ through a divider — so neither
-    // the half-range fold nor the (division-free) PWL form can express it.
-    if (mode != TableMode::Auto) {
-      exp_dense.add();
-    }
-    mode = TableMode::Dense;
-  }
-  if (mode == TableMode::Auto) {
-    const std::size_t half_bytes =
-        (static_cast<std::size_t>(max_raw) + 3) * sizeof(std::int16_t);
-    mode = g_live_table_bytes.load(std::memory_order_relaxed) + half_bytes >
-                   kCacheBudgetBytes
-               ? TableMode::Pwl
-               : TableMode::HalfRange;
-  }
-
-  const bool tanh_mode = f == Function::Tanh;
-  const std::int64_t one =
-      f == Function::Sigmoid
-          ? (std::int64_t{1} << fmt.fractional_bits())
-          : 0;
-
-  if (mode == TableMode::Pwl) {
-    const SigmoidLut& lut = unit_.lut();
-    const std::size_t segs = lut.entries();
-    store.coeff_pos.resize(segs);
-    store.bias_pos.resize(segs);
-    store.coeff_neg.resize(segs);
-    store.bias_neg.resize(segs);
-    for (std::size_t s = 0; s < segs; ++s) {
-      const Nacu::Coefficients pos = unit_.morph_coefficients(
-          s, tanh_mode ? Nacu::Mode::TanhPos : Nacu::Mode::SigmoidPos);
-      const Nacu::Coefficients neg = unit_.morph_coefficients(
-          s, tanh_mode ? Nacu::Mode::TanhNeg : Nacu::Mode::SigmoidNeg);
-      store.coeff_pos[s] = pos.coeff.raw();
-      store.bias_pos[s] = pos.bias.raw();
-      store.coeff_neg[s] = neg.coeff.raw();
-      store.bias_neg[s] = neg.bias.raw();
-    }
-    store.pwl.coeff_pos = store.coeff_pos.data();
-    store.pwl.bias_pos = store.bias_pos.data();
-    store.pwl.coeff_neg = store.coeff_neg.data();
-    store.pwl.bias_neg = store.bias_neg.data();
-    store.pwl.segments = segs;
-    store.pwl.x_max_raw = lut.x_max_raw();
-    store.pwl.mag_max_raw = max_raw;
-    store.pwl.tanh_stretch = tanh_mode;
-    store.pwl.bias_shift = fmt.fractional_bits();
-    store.pwl.out_shift = config().coeff_format.fractional_bits();
-    store.pwl.rounding = config().output_rounding;
-    store.pwl.out_min = min_raw;
-    store.pwl.out_max = max_raw;
-    // Exhaustive replay check: the integer FMA must land on the scalar
-    // datapath's output for every representable input, or the form is
-    // rejected (e.g. a rounding mode whose requantisation the compact
-    // replay cannot mirror).
-    bool ok = true;
-    for (std::size_t k = 0; k < dense_count && ok; ++k) {
-      ok = simd::pwl_eval_raw(store.pwl,
-                              min_raw + static_cast<std::int64_t>(k)) ==
-           dense[k];
-    }
-    if (ok) {
-      store.view.kind = simd::TableKind::Pwl;
-      store.view.entries = nullptr;
-      store.view.one_raw = 0;
-      store.view.pwl = &store.pwl;
-      store.resident_bytes = segs * 4 * sizeof(std::int64_t);
-      return;
-    }
-    pwl_rejected.add();
-    store.coeff_pos.clear();
-    store.bias_pos.clear();
-    store.coeff_neg.clear();
-    store.bias_neg.clear();
-    store.pwl = simd::PwlTable{};
-    mode = TableMode::HalfRange;
-  }
-
-  if (mode == TableMode::HalfRange) {
+  // e^x is not symmetric — Eq. 14 runs σ through a divider — so its table
+  // has nothing to fold and stays Dense.
+  if (f != Function::Exp) {
     // Fold onto the non-negative half: entries[r] for r in [0, max_raw],
     // the pre-inverted |min_raw| slot at max_raw + 1, one zero pad slot to
     // keep the entry count even (the dword-pair gather reads in pairs).
@@ -314,6 +209,12 @@ void BatchNacu::build_table(Function f, TableStore& store) const {
     // arithmetic. A correction outside {0, 1} (or a sample needing bit 15)
     // has no encoding and rejects the fold. Odd functions store plain
     // signed samples and must satisfy f(−x) = −f(x) exactly.
+    const std::int64_t one =
+        f == Function::Sigmoid ? (std::int64_t{1} << fmt.fractional_bits())
+                               : 0;
+    const simd::TableKind kind = f == Function::Sigmoid
+                                     ? simd::TableKind::HalfSigmoid
+                                     : simd::TableKind::HalfOdd;
     std::vector<std::int16_t> half(static_cast<std::size_t>(max_raw) + 3, 0);
     bool ok = true;
     for (std::int64_t r = 0; r <= max_raw && ok; ++r) {
@@ -341,8 +242,7 @@ void BatchNacu::build_table(Function f, TableStore& store) const {
       // reconstruction formula the kernels use (table_entry_for_word):
       // every word must land on the dense sweep, or the fold is rejected.
       simd::TableView probe;
-      probe.kind = f == Function::Sigmoid ? simd::TableKind::HalfSigmoid
-                                          : simd::TableKind::HalfOdd;
+      probe.kind = kind;
       probe.entries = half.data();
       probe.one_raw = static_cast<std::int32_t>(one);
       for (std::size_t k = 0; k < dense_count && ok; ++k) {
@@ -351,11 +251,9 @@ void BatchNacu::build_table(Function f, TableStore& store) const {
     }
     if (ok) {
       store.entries = std::move(half);
-      store.view.kind = f == Function::Sigmoid ? simd::TableKind::HalfSigmoid
-                                               : simd::TableKind::HalfOdd;
+      store.view.kind = kind;
       store.view.entries = store.entries.data();
       store.view.one_raw = static_cast<std::int32_t>(one);
-      store.view.pwl = nullptr;
       store.resident_bytes = store.entries.size() * sizeof(std::int16_t);
       return;
     }
@@ -366,7 +264,6 @@ void BatchNacu::build_table(Function f, TableStore& store) const {
   store.view.kind = simd::TableKind::Dense;
   store.view.entries = store.entries.data();
   store.view.one_raw = 0;
-  store.view.pwl = nullptr;
   store.resident_bytes = store.entries.size() * sizeof(std::int16_t);
 }
 
@@ -441,7 +338,7 @@ void BatchNacu::evaluate(Function f, std::span<const fp::Fixed> in,
       }
       // Armed path: per-element port interception in the dense word domain
       // (word = raw − min_raw regardless of layout), semantics identical to
-      // the fault-injection subsystem's contract (PR 2).
+      // the fault-injection subsystem's contract.
       const std::int64_t min_raw = fmt.min_raw();
       for (std::size_t k = begin; k < end; ++k) {
         if (in[k].format() != fmt) {

@@ -47,12 +47,6 @@ class SigmoidLut {
   /// last segment beyond In_max).
   [[nodiscard]] std::size_t segment_for(std::int64_t x_raw) const noexcept;
 
-  /// Raw of In_max(format): the upper edge of the LUT's input domain and
-  /// the constant behind segment_for's index arithmetic. Exposed so the
-  /// compact PWL table (simd::PwlTable) can replay that arithmetic
-  /// branch-free without re-deriving the bound.
-  [[nodiscard]] std::int64_t x_max_raw() const noexcept { return x_max_raw_; }
-
   /// Slope m1 of segment @p i (value in [0, 0.25]).
   [[nodiscard]] fp::Fixed slope(std::size_t i) const;
   /// Bias q of segment @p i (value in [0.5, 1]).

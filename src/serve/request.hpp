@@ -74,10 +74,12 @@ class DeadlineExpiredError : public std::runtime_error {
       : std::runtime_error{"serve: request deadline expired before dispatch"} {}
 };
 
-/// The dispatcher shard holding the request died (uncaught exception) or
-/// stalled, and the request could not be transparently re-enqueued: it had
-/// no retry credit left (SubmitOptions::max_retries, default 0) or the
-/// server-wide retry budget was empty (ResilienceOptions). Delivered
+/// The dispatcher shard holding the request died (uncaught exception), and
+/// the request could not be transparently re-enqueued: it had no retry
+/// credit left (SubmitOptions::max_retries, default 0) or the server-wide
+/// retry budget was empty (ResilienceOptions). A request queued on a
+/// stalled shard is moved without credit and fails only when every queue
+/// is full or shutdown has begun. Delivered
 /// through the future — the drain guarantee still holds, the future is
 /// ready, it just carries this error instead of a value.
 class ShardFailedError : public std::runtime_error {
@@ -113,11 +115,12 @@ struct SubmitOptions {
   /// configured quota (including the default 0) are unmetered.
   std::uint64_t tenant = 0;
   /// Times the server may transparently re-enqueue this request after the
-  /// shard holding it fails (dispatcher death or stall). Every retry also
-  /// draws one token from the server-wide retry-budget bucket
-  /// (ResilienceOptions::retry_budget_per_s) so a crash-looping shard
-  /// cannot amplify load; when either is exhausted the future fails with
-  /// ShardFailedError. 0 (the default) fails fast on the first loss.
+  /// dispatcher holding it dies. Every retry also draws one token from the
+  /// server-wide retry-budget bucket (ResilienceOptions::retry_budget_per_s)
+  /// so a crash-looping shard cannot amplify load; when either is exhausted
+  /// the future fails with ShardFailedError. 0 (the default) fails fast on
+  /// the first loss. A stalled shard's queued requests never ran, so moving
+  /// them to another shard spends none of this credit.
   std::uint32_t max_retries = 0;
 };
 

@@ -16,8 +16,10 @@
 //    BatchNacu from the scalar datapath, and respawns the thread. A shard
 //    whose heartbeat freezes while work queues (a stall) is not killed —
 //    that is never safe in C++ — but its circuit opens and its inbox is
-//    redistributed to healthy shards. Requests the stalled dispatcher
-//    already drained into its private batcher wait for that dispatcher;
+//    redistributed to healthy shards. Those requests never ran, so the
+//    move is not a retry: it spends no retry credit and no budget token.
+//    Requests the stalled dispatcher already drained into its private
+//    batcher wait for that dispatcher;
 //
 //  * circuit breaking — per-shard Closed/Open/HalfOpen state driven by
 //    consecutive failures (detector hits, scrub re-verify failures) and
@@ -31,7 +33,7 @@
 //    that may recover beats a rejection);
 //
 //  * retry budget — SubmitOptions::max_retries grants a request
-//    transparent re-enqueues after shard failures. Every requeue draws
+//    transparent re-enqueues after its dispatcher dies. Every requeue draws
 //    from one server-wide RetryBudget token bucket — the same bucket
 //    arithmetic as per-tenant admission quotas (admission.hpp TokenBucket,
 //    injectable clock) — so a crash-looping shard cannot amplify offered

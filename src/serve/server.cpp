@@ -113,8 +113,8 @@ InferenceServer::InferenceServer(const core::NacuConfig& config,
   metrics_.gauge("serve.shard.count")
       .set(static_cast<std::int64_t>(shard_count));
   // Cache working set across all shards' engines (plus any other live
-  // engines in the process) — the number the table-mode policy budgets
-  // against. With HalfRange tables this is about half the dense figure.
+  // engines in the process). No layout decision reads it; with σ/tanh
+  // folded it is 256 KiB per 16-bit shard where Dense would be 384 KiB.
   obs::gauge("serve.table.resident_bytes")
       .set(static_cast<std::int64_t>(core::BatchNacu::live_table_bytes()));
   // Dispatchers start only after every shard exists: try_steal walks the
@@ -699,8 +699,15 @@ void InferenceServer::supervisor_pass(
       (void)shard.queue.steal_into(
           [&](Request&& r) { stranded.push_back(std::move(r)); },
           std::numeric_limits<std::size_t>::max());
+      // A stranded request never ran, so moving it is not a retry: it draws
+      // no retry credit and no budget token. Routing starts past this
+      // shard, whose circuit is now open; only a full or stopping server
+      // fails the request.
       for (Request& r : stranded) {
-        requeue_or_fail(std::move(r));
+        if (route(r, per_shard_capacity_, i + 1) != ShardQueue::Push::Ok) {
+          r.retries_left = 0;
+          requeue_or_fail(std::move(r));
+        }
       }
       last_progress_[i] = now;  // one redistribution per frozen window
     }

@@ -89,11 +89,11 @@ struct ServerOptions {
   /// gets ceil(queue_capacity / shards).
   BatcherOptions batcher{};
   /// Engine knobs forwarded to every shard's core::BatchNacu (thread
-  /// pool, kernel backend, table/parallel thresholds, table layout mode).
-  /// Every shard shares one policy; with the default TableMode::Auto the
-  /// shards' σ/tanh tables come up half-range and collapse to the PWL form
-  /// only once the process-wide working set (live_table_bytes, exported as
-  /// serve.table.resident_bytes) crosses BatchNacu::kCacheBudgetBytes.
+  /// pool, kernel backend, table/parallel thresholds). Every shard's
+  /// tables take the one layout the config gives each function (σ/tanh
+  /// half-range where the fold is bit-identical, exp Dense), however many
+  /// shards or other engines are live; serve.table.resident_bytes reports
+  /// the process-wide total.
   core::BatchNacu::Options batch_options{};
   /// Build the σ/tanh/exp activation tables at construction (when the
   /// format is table-cacheable) so the first requests are not taxed with

@@ -8,19 +8,21 @@
 // The half-range reconstruct is everywhere the same branch-free select:
 //   v   = entries[|raw|]            (|min_raw| lands on the extra slot)
 //   out = raw < 0 ? one_raw − v : v (one_raw == 0 for odd functions)
-// The PWL form has no vector implementation yet — it exists to shrink the
-// working set when many configs are live, and its per-element cost is a
-// handful of integer ops rather than a cache-missing gather.
 
 #include "simd/kernels.hpp"
 
 #include <cstring>
-#include <mutex>
 #include <type_traits>
 
-#include "obs/metrics.hpp"
-
 namespace nacu::simd {
+
+// The vector Fixed-span kernels read fp::Fixed as [int64 raw][8-byte
+// Format]. Standard layout puts the first-declared member, raw_, at offset
+// 0, and the sizes leave no room for padding around the Format.
+static_assert(std::is_standard_layout_v<fp::Fixed>);
+static_assert(std::is_trivially_copyable_v<fp::Fixed>);
+static_assert(sizeof(fp::Fixed) == 16);
+static_assert(sizeof(fp::Format) == 8);
 
 #if defined(NACU_HAVE_AVX2)
 namespace detail {
@@ -67,39 +69,14 @@ void conv3x3_mac_row_avx2(const std::int32_t* row0, const std::int32_t* row1,
 
 namespace {
 
-// The vector Fixed-span kernels read Fixed as [int64 raw][8-byte Format].
-// The C++ object model doesn't promise that layout, so probe it once: build
-// a Fixed with a recognisable raw and check the first 8 bytes are exactly it.
-bool probe_fixed_layout() noexcept {
-  static_assert(std::is_trivially_copyable_v<fp::Fixed>);
-  static_assert(std::is_trivially_copyable_v<fp::Format>);
-  if (sizeof(fp::Fixed) != 16 || sizeof(fp::Format) != 8) {
-    return false;
-  }
-  const fp::Fixed probe =
-      fp::Fixed::from_raw_unchecked(INT64_C(0x5A17C0DEFEED1234), {30, 30});
-  std::int64_t head = 0;
-  std::memcpy(&head, &probe, sizeof(head));
-  return head == INT64_C(0x5A17C0DEFEED1234);
-}
-
-// A vector backend was requested but the Fixed ABI probe failed, so the
-// Fixed-span lookup stays scalar for the whole process. Make that visible
-// exactly once instead of degrading silently.
-void note_abi_probe_fallback() {
-  static std::once_flag once;
-  std::call_once(once,
-                 [] { obs::counter("simd.fallback.abi_probe").add(); });
-}
-
 std::int64_t format_bits(fp::Format fmt) noexcept {
   std::int64_t bits = 0;
   std::memcpy(&bits, &fmt, sizeof(fmt));
   return bits;
 }
 
-/// HalfSigmoid reconstructs with one_raw; HalfOdd (and everything else)
-/// with 0, making `one − v` the single negative-side formula.
+/// HalfSigmoid reconstructs with one_raw; HalfOdd (and Dense) with 0,
+/// making `one − v` the single negative-side formula.
 std::int64_t half_one(const TableView& view) noexcept {
   return view.kind == TableKind::HalfSigmoid ? view.one_raw : 0;
 }
@@ -168,19 +145,6 @@ std::size_t table_lookup_fixed_scalar_half(const std::int16_t* entries,
   return n;
 }
 
-std::size_t table_lookup_fixed_scalar_pwl(const PwlTable& pwl, fp::Format fmt,
-                                          const fp::Fixed* in, fp::Fixed* out,
-                                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in[i].format() != fmt) {
-      return i;
-    }
-    out[i] = fp::Fixed::from_raw_unchecked(pwl_eval_raw(pwl, in[i].raw()),
-                                           fmt);
-  }
-  return n;
-}
-
 std::size_t table_lookup_raw_scalar(const std::int16_t* table,
                                     std::int64_t min_raw, std::int64_t max_raw,
                                     const std::int64_t* in, std::int64_t* out,
@@ -211,21 +175,6 @@ std::size_t table_lookup_raw_scalar_half(const std::int16_t* entries,
   return n;
 }
 
-std::size_t table_lookup_raw_scalar_pwl(const PwlTable& pwl,
-                                        std::int64_t min_raw,
-                                        std::int64_t max_raw,
-                                        const std::int64_t* in,
-                                        std::int64_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t raw = in[i];
-    if (raw < min_raw || raw > max_raw) {
-      return i;
-    }
-    out[i] = pwl_eval_raw(pwl, raw);
-  }
-  return n;
-}
-
 void table_lookup_i32_scalar(const std::int16_t* table, const std::int32_t* in,
                              std::int32_t* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -240,15 +189,6 @@ void table_lookup_i32_scalar_half(const std::int16_t* entries,
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t raw = static_cast<std::int64_t>(in[i]) + min_raw;
     out[i] = static_cast<std::int32_t>(half_entry(entries, one, raw));
-  }
-}
-
-void table_lookup_i32_scalar_pwl(const PwlTable& pwl, std::int64_t min_raw,
-                                 const std::int32_t* in, std::int32_t* out,
-                                 std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::int32_t>(
-        pwl_eval_raw(pwl, static_cast<std::int64_t>(in[i]) + min_raw));
   }
 }
 
@@ -299,86 +239,23 @@ void conv3x3_mac_row_scalar(const std::int32_t* row0, const std::int32_t* row1,
 
 }  // namespace
 
-bool fixed_layout_is_raw_then_format() noexcept {
-  static const bool ok = probe_fixed_layout();
-  return ok;
-}
-
-std::int64_t pwl_eval_raw(const PwlTable& t, std::int64_t raw) noexcept {
-  // Replays core::Nacu::evaluate_pwl on raws. Every step maps 1:1:
-  //   x.abs()                       -> |raw| saturated at mag_max_raw
-  //   shifted_left(1, Saturate)     -> 2*mag saturated (tanh's Eq. 3)
-  //   SigmoidLut::segment_for       -> clamp + (mag * segments) / x_max
-  //   morph_coefficients            -> pre-baked per-sign LUT entries
-  //   mul_full / add_full           -> exact int64 FMA (bias pre-aligned)
-  //   requantize(fmt, rounding, Sat)-> shift_right_rounded + clamp
-  // Exhaustively verified against the dense sweep before first use, so any
-  // divergence (e.g. an exotic rounding mode) rejects the PWL form rather
-  // than shipping it.
-  const bool neg = raw < 0;
-  std::int64_t mag = neg ? -raw : raw;
-  if (mag > t.mag_max_raw) {
-    mag = t.mag_max_raw;
-  }
-  std::int64_t seg_in = mag;
-  if (t.tanh_stretch) {
-    seg_in = mag << 1;
-    if (seg_in > t.mag_max_raw) {
-      seg_in = t.mag_max_raw;
-    }
-  }
-  if (seg_in > t.x_max_raw) {
-    seg_in = t.x_max_raw;
-  }
-  // seg_in <= x_max_raw < 2^16 and segments is small, so the product fits
-  // int64 comfortably (the Fixed-path __int128 is only needed off-table).
-  std::int64_t seg =
-      (seg_in * static_cast<std::int64_t>(t.segments)) / t.x_max_raw;
-  if (seg >= static_cast<std::int64_t>(t.segments)) {
-    seg = static_cast<std::int64_t>(t.segments) - 1;
-  }
-  const std::int64_t c = neg ? t.coeff_neg[seg] : t.coeff_pos[seg];
-  const std::int64_t b = neg ? t.bias_neg[seg] : t.bias_pos[seg];
-  const std::int64_t wide = mag * c + (b << t.bias_shift);
-  std::int64_t y = fp::shift_right_rounded(wide, t.out_shift, t.rounding);
-  if (y < t.out_min) {
-    y = t.out_min;
-  } else if (y > t.out_max) {
-    y = t.out_max;
-  }
-  return y;
-}
-
 std::int64_t table_entry_for_word(const TableView& view, std::int64_t min_raw,
                                   std::size_t word) noexcept {
   const std::int64_t raw = min_raw + static_cast<std::int64_t>(word);
-  switch (view.kind) {
-    case TableKind::Dense:
-      return view.entries[word];
-    case TableKind::HalfSigmoid:
-    case TableKind::HalfOdd:
-      return half_entry(view.entries, half_one(view), raw);
-    case TableKind::Pwl:
-      return pwl_eval_raw(*view.pwl, raw);
+  if (view.kind == TableKind::Dense) {
+    return view.entries[word];
   }
-  return 0;
+  return half_entry(view.entries, half_one(view), raw);
 }
 
 std::size_t table_lookup_fixed(Backend backend, const TableView& view,
                                fp::Format fmt, const fp::Fixed* in,
                                fp::Fixed* out, std::size_t n) {
-  if (view.kind == TableKind::Pwl) {
-    return table_lookup_fixed_scalar_pwl(*view.pwl, fmt, in, out, n);
-  }
-  const bool layout_ok = fixed_layout_is_raw_then_format();
-  if (backend != Backend::Scalar && !layout_ok) {
-    note_abi_probe_fallback();
-  }
   const bool half = view.kind != TableKind::Dense;
   const std::int64_t one = half_one(view);
   std::size_t done = 0;
 #if defined(NACU_HAVE_AVX2)
-  if (backend == Backend::Avx2 && layout_ok) {
+  if (backend == Backend::Avx2) {
     done = half ? detail::table_lookup_fixed_avx2_half(
                       view.entries, format_bits(fmt), one,
                       reinterpret_cast<const char*>(in),
@@ -389,6 +266,7 @@ std::size_t table_lookup_fixed(Backend backend, const TableView& view,
                       reinterpret_cast<char*>(out), n);
   }
 #else
+  (void)backend;
   (void)format_bits;
 #endif
   if (half) {
@@ -404,10 +282,6 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
                              std::int64_t min_raw, std::int64_t max_raw,
                              const std::int64_t* in, std::int64_t* out,
                              std::size_t n) {
-  if (view.kind == TableKind::Pwl) {
-    return table_lookup_raw_scalar_pwl(*view.pwl, min_raw, max_raw, in, out,
-                                       n);
-  }
   const bool half = view.kind != TableKind::Dense;
   const std::int64_t one = half_one(view);
   std::size_t done = 0;
@@ -434,10 +308,6 @@ std::size_t table_lookup_raw(Backend backend, const TableView& view,
 void table_lookup_i32(Backend backend, const TableView& view,
                       std::int64_t min_raw, const std::int32_t* in,
                       std::int32_t* out, std::size_t n) {
-  if (view.kind == TableKind::Pwl) {
-    table_lookup_i32_scalar_pwl(*view.pwl, min_raw, in, out, n);
-    return;
-  }
   const bool half = view.kind != TableKind::Dense;
   const std::int64_t one = half_one(view);
 #if defined(NACU_HAVE_AVX2)

@@ -8,15 +8,16 @@
 // implementations are bit-identical by contract, enforced by
 // tests/test_simd_differential.cpp.
 //
-// All kernels work on *raw* fixed-point integers (or on fp::Fixed spans
-// whose raw/format layout a runtime probe has verified), because the
-// datapath semantics live entirely in the raws: a dense activation table is
-// raw→raw, and the MAC chain is clamp(acc + ((w*x) >> fb)) per step (see
-// core/nacu.cpp's Fixed::mac reduction).
+// All kernels work on *raw* fixed-point integers (or on fp::Fixed spans,
+// whose [int64 raw][Format] layout kernels.cpp pins with static_asserts),
+// because the datapath semantics live entirely in the raws: a dense
+// activation table is raw→raw, and the MAC chain is
+// clamp(acc + ((w*x) >> fb)) per step (see core/nacu.cpp's Fixed::mac
+// reduction).
 //
-// ## Table views: dense, half-range, PWL-coefficient
+// ## Table views: dense and half-range
 //
-// Activation tables come in three physical layouts behind one TableView
+// Activation tables come in two physical layouts behind one TableView
 // descriptor. The symmetric functions obey the paper's §IV algebra
 // (Eq. 3): σ(−x) = 1 − σ(x) and tanh(−x) = −tanh(x), so only the
 // non-negative half needs storing — the other half is reconstructed in
@@ -30,8 +31,6 @@
 //                one_raw − (v & 0x7FFF) + (v >> 15).
 //   HalfOdd      same storage, plain signed samples; negative inputs
 //                reconstruct as −entries[−raw] (one_raw is 0).
-//   Pwl          no samples at all: per-segment morphed (coefficient,
-//                bias) LUTs replaying the Fig. 2 multiply-add per element.
 //
 // Why the correction bit: the hardware's negative σ branch morphs the
 // segment coefficients with the Fig. 3 bit tricks (one's-complement style
@@ -48,7 +47,7 @@
 // the uniform negative-side reconstruct then lands exactly on the dense
 // table's min_raw entry with no special case in the SIMD lanes.
 // Bit-identity of every reconstruction is verified exhaustively at build
-// time by core::BatchNacu, which falls back to Dense when any word
+// time by core::BatchNacu, which keeps the table Dense when any word
 // disagrees (e.g. a config whose morph undershoots instead: a −1
 // correction has no encoding and rejects the fold).
 #pragma once
@@ -58,7 +57,6 @@
 
 #include "fixedpoint/fixed.hpp"
 #include "fixedpoint/format.hpp"
-#include "fixedpoint/rounding.hpp"
 #include "simd/dispatch.hpp"
 
 namespace nacu::simd {
@@ -68,64 +66,28 @@ enum class TableKind : std::uint8_t {
   Dense,        ///< full 2^width raw→raw sample table
   HalfSigmoid,  ///< corr-packed half; negatives via one_raw − v + corr bit
   HalfOdd,      ///< non-negative half; negatives via −v (tanh oddness)
-  Pwl,          ///< compact per-segment (coeff, bias) LUTs + FMA, no samples
+  Pwl,          ///< declared only: no table is ever built with this layout
 };
 
-/// Compact PWL-coefficient table: the Fig. 2 datapath folded into four
-/// small per-segment LUTs (two logical LUTs — slope and intercept — split
-/// by input sign so the Eq. 9–11 morphs are pre-applied). Everything is
-/// plain raws so the evaluation is integer FMA + rounded shift, exactly
-/// replaying core::Nacu::evaluate_pwl; core::BatchNacu verifies that
-/// replay exhaustively before ever exposing one of these.
-struct PwlTable {
-  const std::int64_t* coeff_pos = nullptr;  ///< morphed coeff, x >= 0
-  const std::int64_t* bias_pos = nullptr;   ///< morphed bias, x >= 0
-  const std::int64_t* coeff_neg = nullptr;  ///< morphed coeff, x < 0
-  const std::int64_t* bias_neg = nullptr;   ///< morphed bias, x < 0
-  std::size_t segments = 0;
-  std::int64_t x_max_raw = 0;    ///< segment-search clamp (LUT domain edge)
-  std::int64_t mag_max_raw = 0;  ///< |x| saturation bound (format max_raw)
-  bool tanh_stretch = false;     ///< segment from 2|x| (Eq. 3), saturating
-  int bias_shift = 0;            ///< fb_x: aligns bias into the product fb
-  int out_shift = 0;             ///< fb_c: output requantisation shift
-  fp::Rounding rounding = fp::Rounding::Truncate;
-  std::int64_t out_min = 0;      ///< output saturation bounds (format raws)
-  std::int64_t out_max = 0;
-};
-
-/// One activation table as the kernels see it. Non-owning: the entry /
-/// PWL storage belongs to the builder (core::BatchNacu), which keeps it
-/// alive for the view's lifetime and never mutates layout after publish.
+/// One activation table as the kernels see it. Non-owning: the entry
+/// storage belongs to the builder (core::BatchNacu), which keeps it alive
+/// for the view's lifetime and never mutates layout after publish.
 struct TableView {
   TableKind kind = TableKind::Dense;
   /// Dense: 2^width entries. Half*: max_raw + 2 entries, padded to an even
   /// count so the dword-pair gather trick never reads past the allocation.
-  /// Pwl: nullptr.
   const std::int16_t* entries = nullptr;
   /// HalfSigmoid: the raw of 1.0 (2^fb) for the 1 − σ reconstruct;
-  /// HalfOdd/others: 0 (making `one_raw − v` the uniform negative path).
+  /// HalfOdd/Dense: 0 (making `one_raw − v` the uniform negative path).
   std::int32_t one_raw = 0;
-  const PwlTable* pwl = nullptr;  ///< set iff kind == Pwl
 };
-
-/// Whether fp::Fixed is laid out as [int64 raw][Format] with no padding —
-/// probed once at runtime. The vector Fixed-span kernels depend on it; when
-/// the probe fails (exotic ABI), table_lookup_fixed stays scalar and bumps
-/// the one-time `simd.fallback.abi_probe` obs counter so the degradation is
-/// visible instead of silent.
-[[nodiscard]] bool fixed_layout_is_raw_then_format() noexcept;
-
-/// Evaluate the compact PWL form for one input raw (the scalar reference
-/// for TableKind::Pwl; also the armed-fault and scrub reconstruction path).
-[[nodiscard]] std::int64_t pwl_eval_raw(const PwlTable& t,
-                                        std::int64_t raw) noexcept;
 
 /// The clean (fault-free) table entry for a *dense-domain* word index —
 /// word = raw − min_raw over the full 2^width domain regardless of the
 /// physical layout. This is what armed fault ports intercept: the fault
-/// surface's word addressing is stable across Dense/Half*/Pwl layouts, so
-/// PR 2's injection contract and PR 7's verify-before-release parity check
-/// hold unchanged on compressed tables.
+/// surface's word addressing is stable across the Dense and Half* layouts,
+/// so the injection contract and the verify-before-release parity check
+/// hold unchanged on folded tables.
 [[nodiscard]] std::int64_t table_entry_for_word(const TableView& view,
                                                std::int64_t min_raw,
                                                std::size_t word) noexcept;
@@ -158,7 +120,7 @@ struct TableView {
 /// table indices (word = raw − min_raw): out[i] = entry(word[i]). Used
 /// inside fused paths (softmax exp pass) where the indices were produced by
 /// a clamping kernel and cannot be out of range. @p min_raw un-rebases the
-/// word for the Half*/Pwl layouts. `in` and `out` may alias exactly.
+/// word for the Half* layouts. `in` and `out` may alias exactly.
 void table_lookup_i32(Backend backend, const TableView& view,
                       std::int64_t min_raw, const std::int32_t* in,
                       std::int32_t* out, std::size_t n);

@@ -5,8 +5,7 @@
 // inline function this TU instantiates could be the copy the linker keeps,
 // silently planting AVX2 instructions in code paths that run on non-AVX2
 // hosts. Fixed spans arrive as char* and the [int64 raw][8-byte Format]
-// layout is guaranteed by the caller's runtime probe
-// (fixed_layout_is_raw_then_format).
+// layout is guaranteed by the static_asserts in kernels.cpp.
 //
 // Dense-table gather without out-of-bounds reads: the tables are int16 but
 // _mm256_i32gather_epi32 reads 4 bytes per lane, so gathering at byte

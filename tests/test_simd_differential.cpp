@@ -4,12 +4,13 @@
 //
 // Everything is exhaustive or adversarial: table lookups sweep all 2^16
 // representable inputs per config variant — across both backends (scalar
-// and, where the build carries it and the host runs it, AVX2) and every
-// table layout (Dense, HalfRange, Pwl) — the fused GEMV is checked against
-// a NACU MAC chain (including saturation-stressed cases where accumulation
-// ORDER changes the answer, so any reassociation would be caught), and the
-// armed fault-injection path is pinned to its PR 2 semantics across
-// backends AND table modes. Under -DNACU_FORCE_SCALAR=ON (or on a host
+// and, where the build carries it and the host runs it, AVX2) and both
+// table layouts (Dense, and the half-range fold σ/tanh take where it is
+// bit-identical) — the fused GEMV is checked against a NACU MAC chain
+// (including saturation-stressed cases where accumulation ORDER changes
+// the answer, so any reassociation would be caught), and the armed
+// fault-injection path is pinned to its semantics across backends AND
+// table layouts. Under -DNACU_FORCE_SCALAR=ON (or on a host
 // without AVX2) the SIMD half of every comparison degrades to
 // scalar-vs-scalar and the suite still proves the dispatch layer routes
 // correctly.
@@ -51,19 +52,10 @@ std::vector<simd::Backend> backends() {
   return list;
 }
 
-/// Table layouts to differentially compare. Explicit modes (never Auto) so
-/// the process-wide resident-byte total other tests contribute to cannot
-/// flip a layout choice mid-suite. Explicit modes still verify-and-fall-back
-/// at build time, so a variant whose datapath breaks a symmetry simply lands
-/// on a safer layout — the bit-identity sweep holds either way.
-std::vector<std::pair<const char*, BatchNacu::TableMode>> table_modes() {
-  return {{"dense", BatchNacu::TableMode::Dense},
-          {"half-range", BatchNacu::TableMode::HalfRange},
-          {"pwl", BatchNacu::TableMode::Pwl}};
-}
-
 /// Same datapath variants as test_batch_differential.cpp: every config
-/// switch that changes bit behaviour.
+/// switch that changes bit behaviour. Between them they run both table
+/// layouts: exp is Dense everywhere, σ/tanh fold to half-range except under
+/// truncate-rounding, where the fold is rejected and they stay Dense.
 std::vector<std::pair<const char*, NacuConfig>> config_variants() {
   std::vector<std::pair<const char*, NacuConfig>> variants;
   variants.emplace_back("default", core::config_for_bits(16));
@@ -176,12 +168,6 @@ TEST(SimdDispatch, EngineBackendIsPinnedAtConstruction) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     ASSERT_EQ(before[i].raw(), after[i].raw()) << "element " << i;
   }
-}
-
-TEST(SimdKernels, FixedLayoutSupportsTheSpanKernel) {
-  // x86-64 gcc/clang lay fp::Fixed out as [int64 raw][Format]; the probe
-  // must agree, otherwise the AVX2 Fixed-span path silently never engages.
-  EXPECT_TRUE(simd::fixed_layout_is_raw_then_format());
 }
 
 TEST(SimdKernels, TableLookupFixedExhaustiveBitIdentical) {
@@ -591,11 +577,11 @@ TEST(SimdKernels, Conv3x3RowMatchesNaiveTapLoop) {
   }
 }
 
-TEST(SimdDifferential, BatchEvaluateBitIdenticalAcrossBackendsAndModes) {
-  // Every backend × every table layout × every config variant, exhaustively
-  // over all 2^16 inputs and all three functions — the scalar Fig. 2
-  // datapath is the single reference for all of them, so a compressed
-  // layout or a wider ISA can only pass by being bit-identical.
+TEST(SimdDifferential, BatchEvaluateBitIdenticalAcrossBackends) {
+  // Every backend × every config variant, exhaustively over all 2^16 inputs
+  // and all three functions — the scalar Fig. 2 datapath is the single
+  // reference for all of them, so a folded layout or a wider ISA can only
+  // pass by being bit-identical.
   for (const auto& [name, config] : config_variants()) {
     const Nacu scalar{config};
     const std::vector<fp::Fixed> xs = full_domain(config.format);
@@ -615,132 +601,112 @@ TEST(SimdDifferential, BatchEvaluateBitIdenticalAcrossBackendsAndModes) {
     for (const fp::Fixed& x : xs) {
       raws.push_back(x.raw());
     }
-    for (const auto& [mode_name, mode] : table_modes()) {
-      for (const simd::Backend backend : backends()) {
-        BatchNacu::Options options;
-        options.backend = backend;
-        options.table_mode = mode;
-        const BatchNacu batch{config, options};
-        for (const BatchNacu::Function f : kFunctions) {
-          const std::vector<fp::Fixed> got = batch.evaluate(f, xs);
-          const auto& exp_f = expected[static_cast<std::size_t>(f)];
-          ASSERT_EQ(got.size(), exp_f.size());
-          std::size_t mismatches = 0;
-          for (std::size_t i = 0; i < xs.size(); ++i) {
-            if (got[i].raw() != exp_f[i]) {
-              if (++mismatches <= 5) {
-                ADD_FAILURE()
-                    << name << " " << mode_name << " "
-                    << simd::backend_name(backend) << " at raw "
-                    << xs[i].raw() << ": got " << got[i].raw()
-                    << " datapath " << exp_f[i];
-              }
+    for (const simd::Backend backend : backends()) {
+      BatchNacu::Options options;
+      options.backend = backend;
+      const BatchNacu batch{config, options};
+      for (const BatchNacu::Function f : kFunctions) {
+        const std::vector<fp::Fixed> got = batch.evaluate(f, xs);
+        const auto& exp_f = expected[static_cast<std::size_t>(f)];
+        ASSERT_EQ(got.size(), exp_f.size());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          if (got[i].raw() != exp_f[i]) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE()
+                  << name << " " << simd::backend_name(backend) << " at raw "
+                  << xs[i].raw() << ": got " << got[i].raw() << " datapath "
+                  << exp_f[i];
             }
           }
-          EXPECT_EQ(mismatches, 0u)
-              << name << " " << mode_name << " "
-              << simd::backend_name(backend);
         }
-        // The raw-domain variant dispatches through the same kernels.
-        std::vector<std::int64_t> raw_out(raws.size());
-        batch.evaluate_raw(BatchNacu::Function::Tanh, raws, raw_out);
-        EXPECT_EQ(raw_out,
-                  expected[static_cast<std::size_t>(BatchNacu::Function::Tanh)])
-            << name << " " << mode_name << " " << simd::backend_name(backend);
+        EXPECT_EQ(mismatches, 0u)
+            << name << " " << simd::backend_name(backend);
       }
+      // The raw-domain variant dispatches through the same kernels.
+      std::vector<std::int64_t> raw_out(raws.size());
+      batch.evaluate_raw(BatchNacu::Function::Tanh, raws, raw_out);
+      EXPECT_EQ(raw_out,
+                expected[static_cast<std::size_t>(BatchNacu::Function::Tanh)])
+          << name << " " << simd::backend_name(backend);
     }
   }
 }
 
-TEST(SimdDifferential, TableModesLandOnTheirCompressedLayouts) {
-  // For the default Q4.11 config every compressed layout passes its
-  // build-time verification, so an explicit mode must actually ship that
-  // layout — a silent fallback to Dense would make the exhaustive mode
-  // sweeps above vacuous. (Exp is always Dense: Eq. 14 runs a divider, so
-  // its table has no symmetry to fold.)
-  const NacuConfig config = core::config_for_bits(16);
-
-  BatchNacu::Options half_options;
-  half_options.table_mode = BatchNacu::TableMode::HalfRange;
-  const BatchNacu half{config, half_options};
+TEST(SimdDifferential, SigmoidAndTanhFoldWhereTheFoldIsBitIdentical) {
+  // The layout is a function of the config and the function alone. For the
+  // default Q4.11 config the half-range fold passes its build-time
+  // verification, so σ and tanh must ship folded — a silent fallback to
+  // Dense would make the exhaustive half-range sweeps above vacuous. Exp is
+  // always Dense: Eq. 14 runs a divider, so its table has no symmetry.
+  const BatchNacu folded{core::config_for_bits(16)};
   for (const BatchNacu::Function f : kFunctions) {
-    half.warm(f);
+    folded.warm(f);
   }
-  EXPECT_EQ(half.table_kind(BatchNacu::Function::Sigmoid),
+  EXPECT_EQ(folded.table_kind(BatchNacu::Function::Sigmoid),
             simd::TableKind::HalfSigmoid);
-  EXPECT_EQ(half.table_kind(BatchNacu::Function::Tanh),
+  EXPECT_EQ(folded.table_kind(BatchNacu::Function::Tanh),
             simd::TableKind::HalfOdd);
-  EXPECT_EQ(half.table_kind(BatchNacu::Function::Exp),
+  EXPECT_EQ(folded.table_kind(BatchNacu::Function::Exp),
             simd::TableKind::Dense);
   // Folding halves the resident bytes (plus the slot/padding entries).
-  EXPECT_LT(half.table_resident_bytes(BatchNacu::Function::Sigmoid),
-            half.table_bytes() / 2 + 16);
-  EXPECT_LT(half.table_resident_bytes(BatchNacu::Function::Tanh),
-            half.table_bytes() / 2 + 16);
+  EXPECT_LT(folded.table_resident_bytes(BatchNacu::Function::Sigmoid),
+            folded.table_bytes() / 2 + 16);
+  EXPECT_LT(folded.table_resident_bytes(BatchNacu::Function::Tanh),
+            folded.table_bytes() / 2 + 16);
 
-  BatchNacu::Options pwl_options;
-  pwl_options.table_mode = BatchNacu::TableMode::Pwl;
-  const BatchNacu pwl{config, pwl_options};
+  // Truncate-rounding breaks the fold's bit-identity, so the build keeps
+  // σ and tanh Dense: the only way a Dense σ/tanh table runs.
+  NacuConfig truncate = core::config_for_bits(16);
+  truncate.output_rounding = fp::Rounding::Truncate;
+  const BatchNacu dense{truncate};
   for (const BatchNacu::Function f : kFunctions) {
-    pwl.warm(f);
+    dense.warm(f);
+    EXPECT_EQ(dense.table_kind(f), simd::TableKind::Dense)
+        << static_cast<int>(f);
+    EXPECT_EQ(dense.table_resident_bytes(f), dense.table_bytes())
+        << static_cast<int>(f);
   }
-  EXPECT_EQ(pwl.table_kind(BatchNacu::Function::Sigmoid),
-            simd::TableKind::Pwl);
-  EXPECT_EQ(pwl.table_kind(BatchNacu::Function::Tanh), simd::TableKind::Pwl);
-  EXPECT_EQ(pwl.table_kind(BatchNacu::Function::Exp), simd::TableKind::Dense);
-  // The coefficient form is LUT-sized, not sample-sized.
-  EXPECT_LT(pwl.table_resident_bytes(BatchNacu::Function::Sigmoid),
-            half.table_resident_bytes(BatchNacu::Function::Sigmoid) / 8);
 }
 
-TEST(SimdDifferential, AutoModeFoldsSigmoidUntilTheCacheBudgetThenUsesPwl) {
-  // TableMode::Auto budgets new σ/tanh tables against the process-wide
-  // resident total: a HalfRange table that would push it past
-  // kCacheBudgetBytes takes the PWL form instead. Live engines keep their
-  // tables resident, so building Auto engines one after another must cross
-  // that switch — and every engine, on either side of it, must serve the
-  // Dense engine's bits over the whole domain.
-  constexpr BatchNacu::Function kSigmoid = BatchNacu::Function::Sigmoid;
+TEST(SimdDifferential, LiveTablesElsewhereNeverChangeAnEnginesLayout) {
+  // An engine's layout must not depend on how many other engines are
+  // alive in the process. Twelve engines, each warmed σ → tanh → exp the
+  // way a serving shard warms them, leave 12 × 256 KiB = 3 MiB of tables
+  // live; every one must still fold σ and tanh, and the last one built
+  // must serve the scalar datapath's bits over the whole domain.
+  constexpr std::size_t kEngines = 12;
   const NacuConfig config = core::config_for_bits(16);
-  const std::vector<fp::Fixed> xs = full_domain(config.format);
-  BatchNacu::Options dense_options;
-  dense_options.table_mode = BatchNacu::TableMode::Dense;
-  const BatchNacu dense{config, dense_options};
-  const std::vector<fp::Fixed> want = dense.evaluate(kSigmoid, xs);
-
-  std::size_t half_bytes = 0;
-  {
-    BatchNacu::Options half_options;
-    half_options.table_mode = BatchNacu::TableMode::HalfRange;
-    const BatchNacu half{config, half_options};
-    half.warm(kSigmoid);
-    ASSERT_EQ(half.table_kind(kSigmoid), simd::TableKind::HalfSigmoid);
-    half_bytes = half.table_resident_bytes(kSigmoid);
-  }
-
   std::vector<std::unique_ptr<BatchNacu>> engines;
-  std::size_t folded = 0;
-  bool crossed = false;
-  while (!crossed) {
-    ASSERT_LT(engines.size(), 256u) << "the budget was never crossed";
-    const std::size_t before = BatchNacu::live_table_bytes();
-    crossed = before + half_bytes > BatchNacu::kCacheBudgetBytes;
+  for (std::size_t e = 0; e < kEngines; ++e) {
     const BatchNacu& engine =
         *engines.emplace_back(std::make_unique<BatchNacu>(config));
-    engine.warm(kSigmoid);
-    EXPECT_EQ(engine.table_kind(kSigmoid),
-              crossed ? simd::TableKind::Pwl : simd::TableKind::HalfSigmoid)
-        << "engine " << engines.size() << " built at " << before
-        << " resident bytes";
-    folded += crossed ? 0 : 1;
-    const std::vector<fp::Fixed> got = engine.evaluate(kSigmoid, xs);
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      mismatches += got[i].raw() != want[i].raw() ? 1 : 0;
+    for (const BatchNacu::Function f : kFunctions) {
+      engine.warm(f);
     }
-    EXPECT_EQ(mismatches, 0u) << "engine " << engines.size();
+    EXPECT_EQ(engine.table_kind(BatchNacu::Function::Sigmoid),
+              simd::TableKind::HalfSigmoid)
+        << "engine " << e << " built at " << BatchNacu::live_table_bytes()
+        << " live table bytes";
+    EXPECT_EQ(engine.table_kind(BatchNacu::Function::Tanh),
+              simd::TableKind::HalfOdd)
+        << "engine " << e;
   }
-  EXPECT_GT(folded, 0u) << "no engine was built under the budget";
+  EXPECT_GE(BatchNacu::live_table_bytes(), std::size_t{3} << 20);
+
+  const Nacu scalar{config};
+  const std::vector<fp::Fixed> xs = full_domain(config.format);
+  const BatchNacu& last = *engines.back();
+  const std::vector<fp::Fixed> sig =
+      last.evaluate(BatchNacu::Function::Sigmoid, xs);
+  const std::vector<fp::Fixed> tanh =
+      last.evaluate(BatchNacu::Function::Tanh, xs);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    mismatches += sig[i].raw() != scalar.sigmoid(xs[i]).raw() ? 1 : 0;
+    mismatches += tanh[i].raw() != scalar.tanh(xs[i]).raw() ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(SimdDifferential, FusedSoftmaxBitIdenticalAcrossBackendsAndConfigs) {
@@ -781,33 +747,35 @@ TEST(SimdDifferential, FusedSoftmaxBitIdenticalAcrossBackendsAndConfigs) {
 TEST(SimdDifferential, ArmedFaultPathKeepsPr2SemanticsAcrossBackends) {
   // The fused kernels only run with the fault port disarmed; when a port is
   // attached every read must still go through it, per element, exactly as
-  // PR 2 shipped — for EVERY backend setting (the armed loop ignores the
-  // backend) and EVERY table layout (the fault surface's word addressing is
-  // the dense domain regardless of the physical storage, the PR 7
+  // the fault-injection contract says — for EVERY backend setting (the
+  // armed loop ignores the backend) and EVERY table layout: σ, tanh and exp
+  // land on HalfSigmoid, HalfOdd and Dense, and the fault surface's word
+  // addressing is the dense domain regardless of the physical storage (the
   // verify-before-release parity contract). This pins both.
   const NacuConfig config = core::config_for_bits(10);
   const fp::Format fmt = config.format;
   const std::vector<fp::Fixed> xs = full_domain(fmt);
-  const BatchNacu::Function f = BatchNacu::Function::Sigmoid;
-  const fault::Surface surface = BatchNacu::table_surface(f);
+  constexpr simd::TableKind kLayouts[] = {simd::TableKind::HalfSigmoid,
+                                          simd::TableKind::HalfOdd,
+                                          simd::TableKind::Dense};
+  for (const BatchNacu::Function f : kFunctions) {
+    const fault::Surface surface = BatchNacu::table_surface(f);
+    std::vector<fault::Fault> defects;
+    for (const std::size_t word : {std::size_t{3}, std::size_t{200},
+                                   std::size_t{511}, std::size_t{700}}) {
+      defects.push_back({surface, word, static_cast<int>(word % 7),
+                         fault::FaultModel::StuckAt1});
+      defects.push_back({surface, word, static_cast<int>(word % 5),
+                         fault::FaultModel::StuckAt0});
+    }
 
-  std::vector<fault::Fault> defects;
-  for (const std::size_t word : {std::size_t{3}, std::size_t{200},
-                                 std::size_t{511}, std::size_t{700}}) {
-    defects.push_back(
-        {surface, word, static_cast<int>(word % 7), fault::FaultModel::StuckAt1});
-    defects.push_back(
-        {surface, word, static_cast<int>(word % 5), fault::FaultModel::StuckAt0});
-  }
-
-  std::vector<std::vector<std::int64_t>> per_combination;
-  for (const auto& [mode_name, mode] : table_modes()) {
+    std::vector<std::vector<std::int64_t>> per_backend;
     for (const simd::Backend backend : backends()) {
       BatchNacu::Options options;
       options.backend = backend;
-      options.table_mode = mode;
       BatchNacu batch{config, options};
       batch.warm(f);
+      EXPECT_EQ(batch.table_kind(f), kLayouts[static_cast<std::size_t>(f)]);
       const std::vector<fp::Fixed> clean = batch.evaluate(f, xs);
       fault::FaultInjector injector;
       for (const fault::Fault& d : defects) {
@@ -817,7 +785,7 @@ TEST(SimdDifferential, ArmedFaultPathKeepsPr2SemanticsAcrossBackends) {
       const std::vector<fp::Fixed> faulted = batch.evaluate(f, xs);
       batch.attach_fault_port(nullptr);
       EXPECT_GT(injector.reads_faulted(), 0u)
-          << mode_name << " " << simd::backend_name(backend);
+          << static_cast<int>(f) << " " << simd::backend_name(backend);
 
       // Expected: the injector applied to each clean table entry.
       fault::FaultInjector twin;
@@ -830,17 +798,18 @@ TEST(SimdDifferential, ArmedFaultPathKeepsPr2SemanticsAcrossBackends) {
         const std::int64_t expected =
             twin.read(surface, word, clean[i].raw(), fmt.width());
         ASSERT_EQ(faulted[i].raw(), expected)
-            << mode_name << " " << simd::backend_name(backend) << " word "
-            << word;
+            << static_cast<int>(f) << " " << simd::backend_name(backend)
+            << " word " << word;
         raws.push_back(faulted[i].raw());
       }
-      per_combination.push_back(std::move(raws));
+      per_backend.push_back(std::move(raws));
     }
-  }
-  // Identical faulted outputs across every (mode, backend) combination:
-  // the injected campaign is layout- and ISA-invariant.
-  for (std::size_t b = 1; b < per_combination.size(); ++b) {
-    EXPECT_EQ(per_combination[b], per_combination[0]) << "combination " << b;
+    // Identical faulted outputs on every backend: the injected campaign is
+    // ISA-invariant.
+    for (std::size_t b = 1; b < per_backend.size(); ++b) {
+      EXPECT_EQ(per_backend[b], per_backend[0])
+          << static_cast<int>(f) << " backend " << b;
+    }
   }
 }
 
