@@ -58,7 +58,7 @@ int main() {
                         .to_double());
       retired += buf;
     }
-    if (retired.empty()) retired = "-";
+    if (retired.empty()) retired.push_back('-');
     std::printf("%5llu | %-20s | %s\n",
                 static_cast<unsigned long long>(sim.cycle()), issued.c_str(),
                 retired.c_str());

@@ -4,14 +4,13 @@
 // from concurrent client threads with a mixed workload (activation
 // batches and softmax rows, the NACU's own operations), then
 // demonstrates the contracts the layer exists for: bit-identical results
-// across dispatcher shards and micro-batching, admission control
-// (priority shedding, deadlines, per-tenant quotas), reject-with-error
-// backpressure at the high-water mark, a graceful shutdown that drains
-// every accepted request, a mid-flight single-event upset that is
-// detected, quarantined and scrubbed with zero client-visible errors,
-// and the same serving layer reached over real loopback TCP through the
-// src/net/ wire protocol. Finishes by dumping each server's own metrics
-// registry.
+// across dispatcher shards and micro-batching, an already-expired
+// deadline rejected at submit, reject-with-error backpressure at the
+// high-water mark, a graceful shutdown that drains every accepted
+// request, a mid-flight single-event upset that is detected, quarantined
+// and scrubbed with zero client-visible errors, and the same serving
+// layer reached over real loopback TCP through the src/net/ wire
+// protocol. Finishes by dumping each server's own metrics registry.
 //
 // Usage: ./build/examples/serving_demo
 #include <algorithm>
@@ -106,66 +105,20 @@ int main() {
   std::printf("bit-identical to direct BatchNacu: %s\n",
               total_mismatches == 0 ? "yes (0 mismatching raws)" : "NO");
 
-  // 2. Admission control. Priorities: with a 4-deep queue, best-effort
-  //    may only fill the first half of the capacity, so its third
-  //    submission sheds while normal traffic still admits. Deadlines: an
-  //    already-expired deadline is rejected at submit. Quotas: tenant 7
-  //    gets a 2-token bucket and is rejected on its third burst
-  //    submission; unlisted tenants are unmetered.
-  serve::ServerOptions admission_opts;
-  admission_opts.batcher.queue_capacity = 4;
-  admission_opts.batcher.max_batch = 1 << 20;             // never flush
-  admission_opts.batcher.max_wait = std::chrono::seconds{30};
-  admission_opts.admission.quotas.push_back(
-      {7, serve::TenantQuota{0.0, 2.0}});
-  serve::InferenceServer gated{config, admission_opts};
-  std::vector<std::future<std::vector<fp::Fixed>>> gated_futures;
-
-  serve::SubmitOptions best_effort;
-  best_effort.priority = serve::Priority::BestEffort;
-  int be_shed = 0;
-  for (int i = 0; i < 3; ++i) {
-    try {
-      gated_futures.push_back(
-          gated.submit(Function::Sigmoid, xs, best_effort));
-    } catch (const serve::OverloadedError&) {
-      ++be_shed;
-    }
-  }
-  std::printf("\nadmission: best-effort fills 2/4 (half the capacity), "
-              "then %d shed while normal still admits\n", be_shed);
-
+  // 2. Deadlines: a request whose deadline has already passed is rejected
+  //    at submit with DeadlineExpiredError and never enqueued.
   serve::SubmitOptions expired;
   expired.deadline = std::chrono::steady_clock::now() -
                      std::chrono::milliseconds{1};
   bool deadline_rejected = false;
   try {
-    (void)gated.submit(Function::Tanh, xs, expired);
+    (void)server.submit(Function::Tanh, xs, expired);
   } catch (const serve::DeadlineExpiredError&) {
     deadline_rejected = true;
   }
-  std::printf("admission: already-expired deadline %s\n",
+  std::printf("\nadmission: already-expired deadline %s\n",
               deadline_rejected ? "throws DeadlineExpiredError"
                                 : "NOT rejected");
-
-  serve::SubmitOptions metered;
-  metered.tenant = 7;
-  int quota_rejected = 0;
-  for (int i = 0; i < 3; ++i) {
-    try {
-      gated_futures.push_back(
-          gated.submit(Function::Exp, xs, metered));
-    } catch (const serve::QuotaExceededError&) {
-      ++quota_rejected;
-    }
-  }
-  std::printf("admission: tenant 7's 2-token bucket rejects %d of 3 "
-              "burst submissions with QuotaExceededError\n",
-              quota_rejected);
-  gated.shutdown();  // drains the admitted requests
-  for (auto& f : gated_futures) {
-    (void)f.get();
-  }
 
   // 3. Backpressure: a tiny queue with flushing disabled fills to its
   //    high-water mark, then rejects with OverloadedError.
@@ -306,7 +259,6 @@ int main() {
   // 7. The per-stage metrics: every server keeps its own registry.
   const std::pair<const char*, obs::Registry*> registries[] = {
       {"sharded", &server.metrics()},
-      {"admission", &gated.metrics()},
       {"backpressure", &small.metrics()},
       {"self-healing", &resilient.metrics()},
       {"over-TCP inference", &wire_inference.metrics()},
@@ -315,9 +267,7 @@ int main() {
     std::printf("\n%s server's obs registry:\n%s", name,
                 registry->to_json().c_str());
   }
-  const bool admission_ok =
-      be_shed == 1 && deadline_rejected && quota_rejected == 1;
-  return total_mismatches == 0 && shutdown_rejected && admission_ok &&
+  return total_mismatches == 0 && shutdown_rejected && deadline_rejected &&
                  healed_ok && wire_mismatches == 0
              ? 0
              : 1;

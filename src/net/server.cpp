@@ -39,9 +39,6 @@ ErrorCode classify_exception(std::exception_ptr error, std::string& message) {
   } catch (const serve::ShutdownError& e) {
     message = e.what();
     return ErrorCode::kShutdown;
-  } catch (const serve::QuotaExceededError& e) {
-    message = e.what();
-    return ErrorCode::kQuotaExceeded;
   } catch (const serve::DeadlineExpiredError& e) {
     message = e.what();
     return ErrorCode::kDeadlineExpired;
@@ -241,12 +238,7 @@ NetServer::Pending NetServer::handle_frame(
   if (!wire_options) {
     return bad("truncated submit options");
   }
-  if (wire_options->priority >= serve::kPriorityCount) {
-    return bad("unknown priority class");
-  }
   serve::SubmitOptions submit_options;
-  submit_options.priority = static_cast<serve::Priority>(wire_options->priority);
-  submit_options.tenant = wire_options->tenant;
   submit_options.max_retries = wire_options->max_retries;
   if (wire_options->deadline_ns) {
     // Relative on the wire, absolute on the serving clock from here on.

@@ -7,8 +7,8 @@
 //   reader: one recv into the connection's FrameReader, then for every
 //           complete frame it holds: decode (wire.hpp) →
 //           InferenceServer::submit / submit_softmax → one pending
-//           entry. Admission rejections (Overloaded, Quota, Deadline,
-//           Shutdown — thrown from submit) become typed error entries
+//           entry. Admission rejections (Overloaded, Deadline, Shutdown
+//           — thrown from submit) become typed error entries
 //           without a future; malformed-but-framed payloads become
 //           kBadRequest entries and the connection keeps serving.
 //           Only when the buffer holds no complete frame, so the next

@@ -12,8 +12,6 @@ const char* error_code_name(ErrorCode code) noexcept {
       return "overloaded";
     case ErrorCode::kShutdown:
       return "shutdown";
-    case ErrorCode::kQuotaExceeded:
-      return "quota-exceeded";
     case ErrorCode::kDeadlineExpired:
       return "deadline-expired";
     case ErrorCode::kShardFailed:
@@ -50,7 +48,7 @@ std::vector<std::uint8_t> seal(ByteWriter& w) {
 /// Head bytes before a body: opcode and request id.
 constexpr std::size_t kHeadBytes = 1 + 8;
 /// Bytes of the options block encode_submit_options writes.
-constexpr std::size_t kOptionsBytes = 22;
+constexpr std::size_t kOptionsBytes = 13;
 /// Bytes of a raw body before its raws: element width and count.
 constexpr std::size_t kRawBodyHeadBytes = 1 + 4;
 
@@ -165,25 +163,19 @@ std::vector<std::uint8_t> finish_frame(std::vector<std::uint8_t> payload) {
 }
 
 void encode_submit_options(ByteWriter& w, const WireSubmitOptions& options) {
-  w.u8(options.priority);
   w.u8(options.deadline_ns.has_value() ? 1 : 0);
-  w.u64(options.tenant);
   w.u32(options.max_retries);
   w.i64(options.deadline_ns.value_or(0));
 }
 
 std::optional<WireSubmitOptions> decode_submit_options(ByteReader& r) {
-  const auto priority = r.u8();
   const auto flags = r.u8();
-  const auto tenant = r.u64();
   const auto max_retries = r.u32();
   const auto deadline_ns = r.i64();
-  if (!priority || !flags || !tenant || !max_retries || !deadline_ns) {
+  if (!flags || !max_retries || !deadline_ns) {
     return std::nullopt;
   }
   WireSubmitOptions options;
-  options.priority = *priority;
-  options.tenant = *tenant;
   options.max_retries = *max_retries;
   if ((*flags & 1u) != 0) {
     options.deadline_ns = *deadline_ns;

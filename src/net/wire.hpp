@@ -5,9 +5,8 @@
 // encoding of the serving layer's submit API (activation batches and
 // softmax rows; every SubmitOptions field travels on the wire) plus typed
 // error frames that map the admission exceptions (OverloadedError,
-// DeadlineExpiredError, QuotaExceededError, ShutdownError,
-// ShardFailedError) onto stable one-byte codes a client can switch on
-// without parsing message text.
+// DeadlineExpiredError, ShutdownError, ShardFailedError) onto stable
+// one-byte codes a client can switch on without parsing message text.
 //
 // Frame layout (all integers little-endian):
 //
@@ -28,7 +27,7 @@
 //
 //   Hello (server → client, once, immediately after accept):
 //     u8  opcode = kHello
-//     u8  protocol version (kProtocolVersion = 4: "nacu-wire v4")
+//     u8  protocol version (kProtocolVersion = 5: "nacu-wire v5")
 //     u8  format integer bits   ┐ the server's datapath grid — raw
 //     u8  format fractional bits┘ values on the wire live on it
 //     u8  function count (how many Function values submits may carry)
@@ -53,10 +52,8 @@
 //     kMaxFrameBytes frame holds about 512 Ki elements at width 2 and
 //     128 Ki at width 8.
 //
-//   SubmitOptions block (fixed 22 bytes, always present):
-//     u8  priority (Priority index)
+//   SubmitOptions block (fixed 13 bytes, always present):
 //     u8  flags (bit 0: deadline_ns is set)
-//     u64 tenant id
 //     u32 max retries
 //     i64 deadline_ns — RELATIVE to server receipt. Absolute
 //         steady_clock points are meaningless across processes; the
@@ -84,9 +81,11 @@
 // keeps serving. Either way the server never crashes and never leaks a
 // pending promise.
 //
-// Values retired in v4 are never reused: opcodes 0x03 and 0x21 (v3's
-// hosted-model request and its f64 result) are unknown opcodes, answered
-// kBadRequest like any other, and error code 7 is never sent.
+// Retired values are never reused: opcodes 0x03 and 0x21 (v3's
+// hosted-model request and its f64 result, retired in v4) are unknown
+// opcodes, answered kBadRequest like any other, and error codes 7 (v3's
+// "no hosted model") and 3 (v4's tenant quota, retired in v5 with the
+// options block's priority and tenant fields) are never sent.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +99,7 @@
 
 namespace nacu::net {
 
-inline constexpr std::uint8_t kProtocolVersion = 4;
+inline constexpr std::uint8_t kProtocolVersion = 5;
 /// Hard per-frame payload bound: large enough for any realistic batch
 /// (about 512 Ki elements at width 2, 128 Ki at width 8), small enough
 /// that a corrupt length prefix cannot make the reader allocate unbounded
@@ -119,14 +118,13 @@ enum class Opcode : std::uint8_t {
   kError = 0x30,          ///< typed failure for one request
 };
 
-/// Stable wire codes for every way a request can fail. Codes 1–5 map the
-/// serve:: exception types one-to-one; 6 and 8 are network-edge failures
-/// that have no serving-layer equivalent (7 is retired).
+/// Stable wire codes for every way a request can fail. Codes 1, 2, 4 and
+/// 5 map the serve:: exception types one-to-one; 6 and 8 are network-edge
+/// failures that have no serving-layer equivalent (3 and 7 are retired).
 enum class ErrorCode : std::uint8_t {
   kNone = 0,
   kOverloaded = 1,       ///< serve::OverloadedError
   kShutdown = 2,         ///< serve::ShutdownError
-  kQuotaExceeded = 3,    ///< serve::QuotaExceededError
   kDeadlineExpired = 4,  ///< serve::DeadlineExpiredError
   kShardFailed = 5,      ///< serve::ShardFailedError
   kBadRequest = 6,       ///< malformed payload / value outside the format
@@ -139,8 +137,6 @@ enum class ErrorCode : std::uint8_t {
 /// from server receipt, < 0 meaning "already expired"), everything else
 /// verbatim.
 struct WireSubmitOptions {
-  std::uint8_t priority = 1;  ///< serve::Priority index (Normal)
-  std::uint64_t tenant = 0;
   std::uint32_t max_retries = 0;
   std::optional<std::int64_t> deadline_ns;  ///< relative to server receipt
 };

@@ -37,8 +37,10 @@ struct BatcherOptions {
   std::chrono::microseconds max_wait{200};
   /// Backpressure high-water mark: accepted-but-undispatched requests
   /// beyond this are rejected with OverloadedError. The server splits it
-  /// across shards (ceil(queue_capacity / shards) per ShardQueue), whose
-  /// try_push enforces it; the batcher itself never rejects.
+  /// exactly across shards — queue_capacity / shards slots per ShardQueue,
+  /// plus one for each of the first queue_capacity % shards — whose
+  /// try_push enforces it; the batcher itself never rejects. A server
+  /// with fewer slots than shards holds one per shard.
   std::size_t queue_capacity = 1024;
 };
 

@@ -2,27 +2,25 @@
 //
 // A request is one unit of client work — an element-wise activation batch
 // or one softmax row, the NACU's own operations — paired with the promise
-// its result is delivered through, plus the admission metadata the
-// sharded server schedules it by: a priority class, an optional
-// completion deadline, and an optional tenant id for per-tenant quotas.
+// its result is delivered through, plus the metadata the sharded server
+// schedules it by: an optional completion deadline and its retry credit.
 // Every request has the same shape, fp::Fixed values in and out (a model
 // pass is the caller's to run: it calls the model, which calls the
 // engine). Requests are created by the InferenceServer submission API
-// (server.hpp), admitted through the AdmissionController (admission.hpp),
-// queued in a per-shard ShardQueue (shard_queue.hpp), grouped by that
-// shard's MicroBatcher (micro_batcher.hpp), and fulfilled by the shard's
-// dispatcher thread; clients only ever see the std::future side.
+// (server.hpp), queued in a per-shard ShardQueue (shard_queue.hpp),
+// grouped by that shard's MicroBatcher (micro_batcher.hpp), and fulfilled
+// by the shard's dispatcher thread; clients only ever see the std::future
+// side.
 //
 // Admission failures are *exceptions from submit*, not broken futures: a
-// request that the server cannot accept (every eligible shard at its
-// priority's depth limit, quota exhausted, deadline already expired, or
-// shutdown already begun) throws before any promise exists, so a returned
-// future always corresponds to accepted work that the server will finish —
-// the graceful-shutdown drain guarantee depends on exactly this. The one
-// post-admission rejection is deadline shedding: a request whose deadline
-// expires while it queues is never dispatched; its future carries
-// DeadlineExpiredError instead (the drain guarantee still holds — the
-// future becomes ready).
+// request that the server cannot accept (every shard queue full, deadline
+// already expired, or shutdown already begun) throws before any promise
+// exists, so a returned future always corresponds to accepted work that
+// the server will finish — the graceful-shutdown drain guarantee depends
+// on exactly this. The one post-admission rejection is deadline shedding:
+// a request whose deadline expires while it queues is never dispatched;
+// its future carries DeadlineExpiredError instead (the drain guarantee
+// still holds — the future becomes ready).
 #pragma once
 
 #include <chrono>
@@ -37,9 +35,9 @@
 
 namespace nacu::serve {
 
-/// Submission rejected: every shard eligible for the request's priority is
-/// at its depth limit (the backpressure high-water mark). Clients should
-/// back off and retry; nothing was enqueued.
+/// Submission rejected: every shard queue is at its capacity (the
+/// backpressure high-water mark). Clients should back off and retry;
+/// nothing was enqueued.
 class OverloadedError : public std::runtime_error {
  public:
   OverloadedError()
@@ -54,15 +52,6 @@ class ShutdownError : public std::runtime_error {
  public:
   ShutdownError()
       : std::runtime_error{"serve: server is shutting down, request rejected"} {}
-};
-
-/// Submission rejected: the tenant's token bucket is empty (per-tenant
-/// quota, AdmissionOptions::quotas). Back off until the bucket refills.
-class QuotaExceededError : public std::runtime_error {
- public:
-  QuotaExceededError()
-      : std::runtime_error{
-            "serve: tenant token-bucket quota exhausted, request rejected"} {}
 };
 
 /// The request's deadline expired — either already past at submission
@@ -90,30 +79,13 @@ class ShardFailedError : public std::runtime_error {
             "credit (SubmitOptions::max_retries / global retry budget)"} {}
 };
 
-/// Admission-control priority classes. Under load, lower classes are shed
-/// first: each class admits only while the target shard's queue depth is
-/// below its depth limit (admission.hpp; best-effort gets half the
-/// capacity), so best-effort traffic is always rejected before
-/// high-priority traffic.
-enum class Priority : std::uint8_t {
-  High = 0,
-  Normal = 1,
-  BestEffort = 2,
-};
-inline constexpr std::size_t kPriorityCount = 3;
-
-/// Per-submission scheduling metadata. Default-constructed options behave
-/// exactly like the pre-admission-control server: normal priority, no
-/// deadline, unmetered tenant.
+/// Per-submission scheduling metadata. Default-constructed options mean
+/// no deadline and no retry credit.
 struct SubmitOptions {
-  Priority priority = Priority::Normal;
   /// Completion deadline. Expired at submit → DeadlineExpiredError from
   /// submit; expired while queued → the future carries DeadlineExpiredError
   /// and the request is never dispatched.
   std::optional<std::chrono::steady_clock::time_point> deadline{};
-  /// Tenant id for per-tenant token-bucket quotas. Tenants without a
-  /// configured quota (including the default 0) are unmetered.
-  std::uint64_t tenant = 0;
   /// Times the server may transparently re-enqueue this request after the
   /// dispatcher holding it dies. Every retry also draws one token from the
   /// server-wide retry-budget bucket (ResilienceOptions::retry_budget_per_s)
@@ -136,11 +108,9 @@ struct SubmitOptions {
 ///
 /// enqueued_at is the admission timestamp (it feeds the max_wait flush
 /// policy and the serve.request_latency_ns enqueue→complete histogram).
-/// The priority only picks the depth limit at submit; a requeue admits
-/// against the full shard capacity. Every accepted request exists as
-/// exactly one Request, moved from submit through its queue, batcher and
-/// dispatch group (and through a requeue after a shard failure), so its
-/// promise has exactly one producer.
+/// Every accepted request exists as exactly one Request, moved from submit
+/// through its queue, batcher and dispatch group (and through a requeue
+/// after a shard failure), so its promise has exactly one producer.
 struct Request {
   std::optional<core::BatchNacu::Function> function;  ///< empty: softmax
   std::vector<fp::Fixed> input;

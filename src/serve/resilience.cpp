@@ -109,18 +109,25 @@ void ShardHealth::close() noexcept {
                std::memory_order_release);
 }
 
-RetryBudget::RetryBudget(
-    double tokens_per_s, double burst,
-    std::function<std::chrono::steady_clock::time_point()> clock)
-    : clock_{clock ? std::move(clock)
-                   : [] { return std::chrono::steady_clock::now(); }},
-      bucket_{TenantQuota{.tokens_per_s = tokens_per_s, .burst = burst},
-              clock_()} {}
+RetryBudget::RetryBudget(double tokens_per_s, double burst,
+                         std::chrono::steady_clock::time_point now)
+    : tokens_per_s_{std::max(0.0, tokens_per_s)},
+      burst_{std::max(1.0, burst)},
+      tokens_{burst_},
+      last_{now} {}
 
-bool RetryBudget::try_draw() {
-  const auto now = clock_();
+bool RetryBudget::try_draw(std::chrono::steady_clock::time_point now) {
   const std::lock_guard<std::mutex> lock{mutex_};
-  return bucket_.try_draw(now);
+  const double dt = std::chrono::duration<double>(now - last_).count();
+  if (dt > 0.0) {
+    tokens_ = std::min(burst_, tokens_ + dt * tokens_per_s_);
+    last_ = now;
+  }
+  if (tokens_ < 1.0) {
+    return false;
+  }
+  tokens_ -= 1.0;
+  return true;
 }
 
 void evaluate_degraded(const core::Nacu& unit, core::BatchNacu::Function f,

@@ -34,12 +34,10 @@
 //
 //  * retry budget — SubmitOptions::max_retries grants a request
 //    transparent re-enqueues after its dispatcher dies. Every requeue draws
-//    from one server-wide RetryBudget token bucket — the same bucket
-//    arithmetic as per-tenant admission quotas (admission.hpp TokenBucket,
-//    injectable clock) — so a crash-looping shard cannot amplify offered
-//    load. A request is only ever re-enqueued after the shard holding it
-//    let go of it, so each accepted request is one Request with one
-//    promise;
+//    from one server-wide RetryBudget token bucket, refilled on the serving
+//    clock, so a crash-looping shard cannot amplify offered load. A request
+//    is only ever re-enqueued after the shard holding it let go of it, so
+//    each accepted request is one Request with one promise;
 //
 //  * live SEU scrub-and-recover — with a fault::BitFaultPort armed on a
 //    shard engine (ResilienceOptions::shard_fault_ports), the dispatcher
@@ -74,7 +72,6 @@
 #include <vector>
 
 #include "core/batch_nacu.hpp"
-#include "serve/admission.hpp"
 
 namespace nacu::fault {
 class BitFaultPort;
@@ -253,20 +250,25 @@ struct ShardHealthSnapshot {
   std::uint64_t stalls = 0;
 };
 
-/// Server-wide retry budget: one TokenBucket (the admission-layer
-/// bucket arithmetic) behind a mutex, read on the injected clock.
+/// Server-wide retry budget: a token bucket that starts full at burst
+/// tokens and refills at tokens_per_s up to burst, one token per requeue.
+/// Time is passed in, not read: the server passes its serving clock's
+/// now(), so fake-clock tests drive the refill.
 class RetryBudget {
  public:
   RetryBudget(double tokens_per_s, double burst,
-              std::function<std::chrono::steady_clock::time_point()> clock);
+              std::chrono::steady_clock::time_point now);
 
-  /// Draw one token (refilled for elapsed time first); false when empty.
-  [[nodiscard]] bool try_draw();
+  /// Refill for the time elapsed since the last refill, then draw one
+  /// token; false when empty.
+  [[nodiscard]] bool try_draw(std::chrono::steady_clock::time_point now);
 
  private:
-  std::function<std::chrono::steady_clock::time_point()> clock_;
-  std::mutex mutex_;
-  TokenBucket bucket_;
+  const double tokens_per_s_;
+  const double burst_;
+  std::mutex mutex_;  ///< guards tokens_ and last_
+  double tokens_;
+  std::chrono::steady_clock::time_point last_;
 };
 
 /// Degraded (quarantined) execution: the scalar Fig. 2 datapath, element

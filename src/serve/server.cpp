@@ -37,11 +37,13 @@ std::size_t resolve_shard_count(std::size_t requested) {
   return std::clamp<std::size_t>(requested, 1, 64);
 }
 
-std::size_t resolve_per_shard_capacity(const ServerOptions& options) {
-  const std::size_t shards = resolve_shard_count(options.shards);
-  const std::size_t total =
-      std::max<std::size_t>(1, options.batcher.queue_capacity);
-  return (total + shards - 1) / shards;
+/// Shard @p index's share of queue_capacity over @p shards: the quotient,
+/// plus one slot for each of the first (queue_capacity % shards) shards,
+/// so the shares sum to queue_capacity exactly. ShardQueue clamps a share
+/// of 0 to one slot.
+std::size_t shard_capacity(std::size_t queue_capacity, std::size_t shards,
+                           std::size_t index) {
+  return queue_capacity / shards + (index < queue_capacity % shards ? 1 : 0);
 }
 
 }  // namespace
@@ -70,16 +72,15 @@ InferenceServer::InferenceServer(const core::NacuConfig& config,
                                  ServerOptions options)
     : options_{std::move(options)},
       config_{config},
-      admission_{options_.admission, resolve_per_shard_capacity(options_),
-                 options_.clock},
-      per_shard_capacity_{resolve_per_shard_capacity(options_)},
-      stamp_enqueue_time_{options_.batcher.max_wait.count() > 0} {
+      stamp_enqueue_time_{options_.batcher.max_wait.count() > 0},
+      retry_budget_{options_.resilience.retry_budget_per_s,
+                    options_.resilience.retry_budget_burst, now()} {
   const std::size_t shard_count = resolve_shard_count(options_.shards);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>(
         config, options_.batch_options, options_.batcher,
-        per_shard_capacity_));
+        shard_capacity(options_.batcher.queue_capacity, shard_count, i)));
   }
   const ResilienceOptions& res = options_.resilience;
   bool any_port = false;
@@ -99,8 +100,6 @@ InferenceServer::InferenceServer(const core::NacuConfig& config,
   for (auto& shard : shards_) {
     shard->verify = checker_ != nullptr && shard->fault_port != nullptr;
   }
-  retry_budget_ = std::make_unique<RetryBudget>(
-      res.retry_budget_per_s, res.retry_budget_burst, options_.clock);
   if (options_.warm_tables && shards_.front()->engine->table_cacheable()) {
     for (auto& shard : shards_) {
       shard->engine->warm(Function::Sigmoid);
@@ -207,9 +206,7 @@ InferenceServer::Counters InferenceServer::counters() const {
   Counters c{.accepted = accepted_.value(),
              .rejected_overload = rejected_overload_.value(),
              .rejected_shutdown = rejected_shutdown_.value(),
-             .rejected_quota = rejected_quota_.value(),
              .rejected_deadline = rejected_deadline_.value(),
-             .shed_priority = shed_priority_.value(),
              .shed_deadline = shed_deadline_.value(),
              .completed = completed_.value(),
              .dispatches = dispatches_.value(),
@@ -247,15 +244,10 @@ std::future<std::vector<fp::Fixed>> InferenceServer::enqueue(
     rejected_shutdown_.add();
     throw ShutdownError{};
   }
-  switch (admission_.preadmit(submit_options)) {
-    case AdmissionController::Verdict::RejectDeadline:
-      rejected_deadline_.add();
-      throw DeadlineExpiredError{};
-    case AdmissionController::Verdict::RejectQuota:
-      rejected_quota_.add();
-      throw QuotaExceededError{};
-    case AdmissionController::Verdict::Admit:
-      break;
+  if (submit_options.deadline.has_value() &&
+      *submit_options.deadline <= now()) {
+    rejected_deadline_.add();
+    throw DeadlineExpiredError{};
   }
 
   request.deadline = submit_options.deadline;
@@ -267,8 +259,7 @@ std::future<std::vector<fp::Fixed>> InferenceServer::enqueue(
     request.enqueued_at = now();
   }
 
-  const std::size_t depth_limit = admission_.depth_limit(submit_options.priority);
-  switch (route(request, depth_limit, home_shard())) {
+  switch (route(request, home_shard())) {
     case ShardQueue::Push::Ok:
       accepted_.add();
       return future;
@@ -278,19 +269,11 @@ std::future<std::vector<fp::Fixed>> InferenceServer::enqueue(
     case ShardQueue::Push::Full:
       break;
   }
-  if (depth_limit < per_shard_capacity_) {
-    // Rejected at a sub-capacity class limit: a higher-priority request
-    // would still have been admitted — this is a priority shed.
-    shed_priority_.add();
-  } else {
-    rejected_overload_.add();
-  }
+  rejected_overload_.add();
   throw OverloadedError{};
 }
 
-ShardQueue::Push InferenceServer::route(Request& request,
-                                        std::size_t depth_limit,
-                                        std::size_t start) {
+ShardQueue::Push InferenceServer::route(Request& request, std::size_t start) {
   const std::size_t shard_count = shards_.size();
   bool circuit_skipped = false;
   for (const bool respect_circuit : {true, false}) {
@@ -300,7 +283,7 @@ ShardQueue::Push InferenceServer::route(Request& request,
         circuit_skipped = true;
         continue;
       }
-      switch (shard.queue.try_push(request, depth_limit)) {
+      switch (shard.queue.try_push(request)) {
         case ShardQueue::Push::Ok:
           queue_depth_high_water_.record_max(
               static_cast<std::int64_t>(shard.queue.size()));
@@ -704,7 +687,7 @@ void InferenceServer::supervisor_pass(
       // shard, whose circuit is now open; only a full or stopping server
       // fails the request.
       for (Request& r : stranded) {
-        if (route(r, per_shard_capacity_, i + 1) != ShardQueue::Push::Ok) {
+        if (route(r, i + 1) != ShardQueue::Push::Ok) {
           r.retries_left = 0;
           requeue_or_fail(std::move(r));
         }
@@ -808,9 +791,9 @@ void InferenceServer::scrub_shard(std::size_t shard_index,
 }
 
 void InferenceServer::requeue_or_fail(Request&& request) {
-  if (request.retries_left > 0 && retry_budget_->try_draw()) {
+  if (request.retries_left > 0 && retry_budget_.try_draw(now())) {
     request.retries_left -= 1;
-    if (route(request, per_shard_capacity_, 0) == ShardQueue::Push::Ok) {
+    if (route(request, 0) == ShardQueue::Push::Ok) {
       retried_.add();
       return;
     }

@@ -17,11 +17,10 @@
 //   * work stealing — an idle shard steals the oldest queued ingress of
 //     the most loaded neighbour, so one bursty client cannot strand work
 //     behind a single dispatcher while others sit idle;
-//   * admission control (admission.hpp) — priority classes with
-//     per-class depth limits (best-effort sheds before high), deadline
-//     checks at submit *and* dispatch (an expired request is never
-//     executed), and per-tenant token-bucket quotas, all layered above
-//     the exact OverloadedError backpressure;
+//   * admission — two rules: a request is accepted while a shard queue
+//     has room (exact OverloadedError backpressure) and its deadline has
+//     not passed; the deadline is checked again at dispatch, so an
+//     expired request is never executed;
 //   * self-healing (resilience.hpp) — per-shard supervision with
 //     heartbeat watchdog, crash respawn and stall redistribution;
 //     per-shard circuit breaking that routes traffic away from unhealthy
@@ -42,9 +41,10 @@
 //    and the scalar datapath *is* the table's source — so every schedule
 //    and every degradation yields the same bits;
 //  * backpressure — at most queue_capacity requests sit accepted-but-
-//    undispatched across all shards; past a priority's depth limit submit
-//    throws OverloadedError and enqueues nothing (reject-with-error, never
-//    silent drops or unbounded queues);
+//    undispatched across all shards (a server with fewer slots than shards
+//    holds one per shard); with every shard queue full, submit throws
+//    OverloadedError and enqueues nothing (reject-with-error, never silent
+//    drops or unbounded queues);
 //  * graceful shutdown — shutdown() (and the destructor) stops admission
 //    (further submits throw ShutdownError), drains every accepted request
 //    across every shard, fulfils its future, then joins the dispatchers. A
@@ -56,7 +56,7 @@
 //    other requests of the same coalesced group still complete correctly;
 //  * observability — each server owns an obs::Registry (metrics()) with
 //    every serve.* metric: admission and completion counters, serve.shard.*
-//    steal counters, serve.admission.* shed/quota counters,
+//    steal counters, serve.admission.* deadline counters,
 //    serve.resilience.* recovery counters, and latency histograms (log2
 //    buckets give p50/p99 through to_json()). Counters always count and are
 //    the server's only books — counters() is a snapshot of them — while
@@ -75,7 +75,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "serve/admission.hpp"
 #include "serve/micro_batcher.hpp"
 #include "serve/request.hpp"
 #include "serve/resilience.hpp"
@@ -85,8 +84,8 @@ namespace nacu::serve {
 
 struct ServerOptions {
   /// Micro-batching policy: group size, age-based flush, high-water mark.
-  /// queue_capacity is the *total* backpressure bound; each shard's queue
-  /// gets ceil(queue_capacity / shards).
+  /// queue_capacity is the *total* backpressure bound, split exactly
+  /// across the shards' queues (see BatcherOptions).
   BatcherOptions batcher{};
   /// Engine knobs forwarded to every shard's core::BatchNacu (thread
   /// pool, kernel backend, table/parallel thresholds). Every shard's
@@ -105,14 +104,12 @@ struct ServerOptions {
   /// Idle shards steal queued ingress from the most loaded neighbour,
   /// re-polling every 100 µs (kIdlePoll in server.cpp).
   bool work_stealing = true;
-  /// Priority depth limits, deadline policy, per-tenant quotas.
-  AdmissionOptions admission{};
   /// Supervision, the retry budget, fault ports (resilience.hpp).
   ResilienceOptions resilience{};
   /// The serving layer's one time source (empty = steady_clock). Every
   /// time read in the layer goes through it: the enqueued_at stamp, the
-  /// max_wait flush check, deadline checks at submit and dispatch, quota
-  /// and retry-budget refill, the completion-latency histogram, circuit
+  /// max_wait flush check, deadline checks at submit and dispatch,
+  /// retry-budget refill, the completion-latency histogram, circuit
   /// cooldowns, stall timing and scrub failures. Injecting a fake clock
   /// here puts the whole layer on fake time.
   std::function<std::chrono::steady_clock::time_point()> clock{};
@@ -130,8 +127,8 @@ class InferenceServer {
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   /// Element-wise activation batch: future resolves to f(input) in order.
-  /// Throws OverloadedError / ShutdownError / QuotaExceededError /
-  /// DeadlineExpiredError instead of enqueueing.
+  /// Throws OverloadedError / ShutdownError / DeadlineExpiredError
+  /// instead of enqueueing.
   [[nodiscard]] std::future<std::vector<fp::Fixed>> submit(
       Function f, std::vector<fp::Fixed> input,
       const SubmitOptions& submit_options = {});
@@ -159,7 +156,8 @@ class InferenceServer {
   }
 
   /// Now on the serving clock (ServerOptions::clock, steady_clock when
-  /// unset). Admission and the retry budget hold the same clock.
+  /// unset): every time the layer reads, including the submit-time
+  /// deadline check and the retry budget's refill.
   [[nodiscard]] std::chrono::steady_clock::time_point now() const {
     return options_.clock ? options_.clock()
                           : std::chrono::steady_clock::now();
@@ -184,14 +182,12 @@ class InferenceServer {
   /// are enabled; the recovery totals (detections, scrubs, scrub_failures,
   /// respawns, stalls) are sums of the shard_health() tallies. Invariant
   /// after shutdown(): accepted == completed, and
-  /// accepted + rejected_* + shed_priority == submissions attempted.
+  /// accepted + rejected_* == submissions attempted.
   struct Counters {
     std::uint64_t accepted = 0;
-    std::uint64_t rejected_overload = 0;  ///< full at the capacity limit
+    std::uint64_t rejected_overload = 0;  ///< every shard queue full
     std::uint64_t rejected_shutdown = 0;
-    std::uint64_t rejected_quota = 0;     ///< tenant bucket empty
     std::uint64_t rejected_deadline = 0;  ///< expired already at submit
-    std::uint64_t shed_priority = 0;  ///< full at a sub-capacity class limit
     std::uint64_t shed_deadline = 0;  ///< accepted, expired before dispatch
     std::uint64_t completed = 0;  ///< futures fulfilled (value or exception)
     std::uint64_t dispatches = 0;  ///< dispatch groups executed
@@ -250,9 +246,9 @@ class InferenceServer {
     std::thread dispatcher;  ///< started after every shard exists
   };
 
-  /// Admission: preadmit (deadline/quota), stamp, then route from the
-  /// home shard. Returns the future tied to the enqueued promise; throws
-  /// instead of enqueueing on any rejection.
+  /// Admission: the shutdown and deadline checks, stamp, then route from
+  /// the home shard. Returns the future tied to the enqueued promise;
+  /// throws instead of enqueueing on any rejection.
   [[nodiscard]] std::future<std::vector<fp::Fixed>> enqueue(
       Request request, const SubmitOptions& submit_options);
 
@@ -261,9 +257,7 @@ class InferenceServer {
   /// push failed and a circuit was skipped, a fail-static pass ignores
   /// circuit state (a queue that may recover beats a rejection). Returns
   /// Ok, Full (moved from @p request only on Ok) or Stopped (shutdown).
-  [[nodiscard]] ShardQueue::Push route(Request& request,
-                                       std::size_t depth_limit,
-                                       std::size_t start);
+  [[nodiscard]] ShardQueue::Push route(Request& request, std::size_t start);
 
   /// Round-robin with per-thread affinity: each submitting thread keeps
   /// hitting the same shard (its producer lock stays warm and uncontended
@@ -320,8 +314,6 @@ class InferenceServer {
 
   ServerOptions options_;
   core::NacuConfig config_;  ///< kept for supervisor engine rebuilds
-  AdmissionController admission_;
-  std::size_t per_shard_capacity_ = 0;
   bool stamp_enqueue_time_ = false;  ///< max_wait > 0 needs the age stamp
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -329,7 +321,7 @@ class InferenceServer {
   /// verify path (read-only after construction). Built only when some
   /// shard verifies and the format is table-cacheable.
   std::unique_ptr<fault::InvariantChecker> checker_;
-  std::unique_ptr<RetryBudget> retry_budget_;
+  RetryBudget retry_budget_;
 
   std::thread supervisor_;
   std::mutex supervisor_mutex_;  ///< serialises passes (watchdog vs poke)
@@ -350,12 +342,8 @@ class InferenceServer {
       metrics_.counter("serve.rejected_overload");
   obs::Counter& rejected_shutdown_ =
       metrics_.counter("serve.rejected_shutdown");
-  obs::Counter& rejected_quota_ =
-      metrics_.counter("serve.admission.rejected_quota");
   obs::Counter& rejected_deadline_ =
       metrics_.counter("serve.admission.rejected_deadline");
-  obs::Counter& shed_priority_ =
-      metrics_.counter("serve.admission.shed_priority");
   obs::Counter& shed_deadline_ =
       metrics_.counter("serve.admission.shed_deadline");
   obs::Counter& completed_ = metrics_.counter("serve.completed");

@@ -8,7 +8,7 @@
 // layer:
 //
 //   * producer side — try_push appends to the inbox under the producer
-//     mutex. The admission decision (depth limit, stopped flag) happens
+//     mutex. The admission decision (capacity, stopped flag) happens
 //     under the same lock, so backpressure accounting is exact: at most
 //     capacity requests are ever accepted-but-undispatched per shard, and
 //     a rejected push enqueues nothing. Producers notify the consumer
@@ -49,7 +49,7 @@ class ShardQueue {
  public:
   enum class Push {
     Ok,       ///< accepted and enqueued
-    Full,     ///< depth limit reached; nothing enqueued
+    Full,     ///< capacity reached; nothing enqueued
     Stopped,  ///< queue stopped (server shutdown); nothing enqueued
   };
 
@@ -73,20 +73,17 @@ class ShardQueue {
     return pending_.load(std::memory_order_relaxed);
   }
 
-  /// Producer: admit @p request unless stopped or pending ≥
-  /// min(depth_limit, capacity). Moves from @p request only on Ok, so the
-  /// caller can probe another shard after Full. The depth limit is how
-  /// priority classes shed: best-effort admits against a lower limit than
-  /// high (admission.hpp), under the same exact accounting.
-  [[nodiscard]] Push try_push(Request& request, std::size_t depth_limit) {
+  /// Producer: admit @p request unless stopped or pending ≥ capacity.
+  /// Moves from @p request only on Ok, so the caller can probe another
+  /// shard after Full.
+  [[nodiscard]] Push try_push(Request& request) {
     bool was_empty = false;
     {
       const std::lock_guard<std::mutex> lock{mutex_};
       if (stopped_) {
         return Push::Stopped;
       }
-      const std::size_t limit = std::min(depth_limit, capacity_);
-      if (pending_.load(std::memory_order_relaxed) >= limit) {
+      if (pending_.load(std::memory_order_relaxed) >= capacity_) {
         return Push::Full;
       }
       was_empty = inbox_.empty();

@@ -1,15 +1,14 @@
-// Admission-control coverage: priority depth limits, per-tenant token
-// buckets, and deadline handling — first against the AdmissionController
-// in isolation with a fake clock (refill rates and expiry are driven by
-// explicit ticks, no sleeping), then through the whole InferenceServer:
-// best-effort sheds before high-priority, an expired request is never
-// dispatched, and the accounting identity
+// Admission coverage: a request is accepted while a shard queue has room
+// and its deadline has not passed. Deadlines are driven by a fake clock
+// (expiry advances only when the test says so, no sleeping): an expired
+// request is rejected at submit or shed at dispatch, never executed, and
+// the accounting identity
 //
-//   accepted + rejected_* + shed_priority == submissions attempted
+//   accepted + rejected_* == submissions attempted
 //   completed == accepted
 //
-// holds exactly under concurrent multi-priority load with a shutdown
-// racing the submitters.
+// holds exactly under concurrent load with a shutdown racing the
+// submitters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "core/batch_nacu.hpp"
-#include "serve/admission.hpp"
 #include "serve/server.hpp"
 
 namespace nacu::serve {
@@ -29,7 +27,6 @@ namespace {
 using core::NacuConfig;
 using core::config_for_bits;
 using Function = core::BatchNacu::Function;
-using Verdict = AdmissionController::Verdict;
 using Clock = std::chrono::steady_clock;
 
 Clock::time_point at_ns(std::int64_t ns) {
@@ -37,8 +34,8 @@ Clock::time_point at_ns(std::int64_t ns) {
       std::chrono::nanoseconds{ns})};
 }
 
-/// Injectable clock: admission reads whatever the test last set, so bucket
-/// refill and deadline expiry advance only when the test says so.
+/// Injectable clock: the server reads whatever the test last set, so
+/// deadline expiry advances only when the test says so.
 struct FakeClock {
   std::shared_ptr<std::atomic<std::int64_t>> ns =
       std::make_shared<std::atomic<std::int64_t>>(0);
@@ -50,86 +47,6 @@ struct FakeClock {
   [[nodiscard]] Clock::time_point now() const { return at_ns(ns->load()); }
   void advance(std::chrono::nanoseconds d) { ns->fetch_add(d.count()); }
 };
-
-TEST(Admission, BestEffortGetsHalfTheShardCapacityAndNeverLessThanOneSlot) {
-  // High and Normal may fill the whole shard; BestEffort gets
-  // max(1, capacity / 2), so it is throttled but never configured out.
-  for (const auto& [capacity, best_effort] :
-       {std::pair<std::size_t, std::size_t>{16, 8}, {7, 3}, {1, 1}}) {
-    AdmissionController controller{AdmissionOptions{}, capacity};
-    EXPECT_EQ(controller.depth_limit(Priority::High), capacity);
-    EXPECT_EQ(controller.depth_limit(Priority::Normal), capacity);
-    EXPECT_EQ(controller.depth_limit(Priority::BestEffort), best_effort)
-        << "capacity " << capacity;
-  }
-}
-
-TEST(Admission, TokenBucketEnforcesBurstThenRefillsAtTheConfiguredRate) {
-  FakeClock clock;
-  AdmissionOptions options;
-  options.quotas.emplace_back(7u, TenantQuota{10.0, 3.0});  // 10/s, burst 3
-  AdmissionController controller{options, 16, clock.fn()};
-
-  SubmitOptions metered;
-  metered.tenant = 7;
-  // The bucket starts full: exactly burst admissions, then empty.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(controller.preadmit(metered), Verdict::Admit) << "burst " << i;
-  }
-  EXPECT_EQ(controller.preadmit(metered), Verdict::RejectQuota);
-
-  // 100 ms at 10 tokens/s refills exactly one token.
-  clock.advance(std::chrono::milliseconds{100});
-  EXPECT_EQ(controller.preadmit(metered), Verdict::Admit);
-  EXPECT_EQ(controller.preadmit(metered), Verdict::RejectQuota);
-
-  // A long idle period refills only to the burst cap, never beyond.
-  clock.advance(std::chrono::seconds{10});
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(controller.preadmit(metered), Verdict::Admit) << "cap " << i;
-  }
-  EXPECT_EQ(controller.preadmit(metered), Verdict::RejectQuota);
-
-  // Tenants without a configured quota are unmetered.
-  SubmitOptions unmetered;
-  unmetered.tenant = 42;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(controller.preadmit(unmetered), Verdict::Admit);
-  }
-}
-
-TEST(Admission, ZeroRateBucketNeverRefills) {
-  FakeClock clock;
-  AdmissionOptions options;
-  options.quotas.emplace_back(9u, TenantQuota{0.0, 2.0});
-  AdmissionController controller{options, 16, clock.fn()};
-  SubmitOptions metered;
-  metered.tenant = 9;
-  EXPECT_EQ(controller.preadmit(metered), Verdict::Admit);
-  EXPECT_EQ(controller.preadmit(metered), Verdict::Admit);
-  EXPECT_EQ(controller.preadmit(metered), Verdict::RejectQuota);
-  clock.advance(std::chrono::hours{1});
-  EXPECT_EQ(controller.preadmit(metered), Verdict::RejectQuota);
-}
-
-TEST(Admission, ExpiredDeadlineNeverConsumesAQuotaToken) {
-  FakeClock clock;
-  AdmissionOptions options;
-  options.quotas.emplace_back(5u, TenantQuota{0.0, 1.0});  // exactly 1 token
-  AdmissionController controller{options, 16, clock.fn()};
-  clock.advance(std::chrono::seconds{1});
-
-  SubmitOptions expired;
-  expired.tenant = 5;
-  expired.deadline = clock.now() - std::chrono::microseconds{1};
-  EXPECT_EQ(controller.preadmit(expired), Verdict::RejectDeadline);
-  // The deadline check runs before the token draw, so the single token is
-  // still there for a servable request.
-  SubmitOptions fresh;
-  fresh.tenant = 5;
-  EXPECT_EQ(controller.preadmit(fresh), Verdict::Admit);
-  EXPECT_EQ(controller.preadmit(fresh), Verdict::RejectQuota);
-}
 
 TEST(Admission, ServerRejectsAlreadyExpiredDeadlinesAtSubmit) {
   FakeClock clock;
@@ -202,68 +119,12 @@ TEST(Admission, RequestsExpiringWhileQueuedAreShedNeverDispatched) {
   EXPECT_EQ(counters.rejected_deadline, 0u);
 }
 
-TEST(Admission, BestEffortIsShedBeforeHigherPriorities) {
-  // queue_capacity 8, one shard: best-effort admits against floor(0.5*8)=4
-  // while high/normal admit to the full 8. With flushing stalled, the 5th
-  // best-effort submit is a priority shed — but normal and high traffic
-  // still get the remaining capacity, and only the 9th overall rejection
-  // is a true overload.
-  const NacuConfig config = config_for_bits(16);
-  ServerOptions options;
-  options.batcher.max_batch = 1 << 20;
-  options.batcher.max_wait = std::chrono::seconds{30};
-  options.batcher.queue_capacity = 8;
-  options.shards = 1;
-  InferenceServer server{config, options};
-
-  const std::vector<fp::Fixed> input{
-      fp::Fixed::from_double(0.25, config.format)};
-  SubmitOptions best_effort;
-  best_effort.priority = Priority::BestEffort;
-  SubmitOptions high;
-  high.priority = Priority::High;
-
-  std::vector<std::future<std::vector<fp::Fixed>>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(server.submit(Function::Sigmoid, input, best_effort));
-  }
-  // Best-effort has hit its class limit — shed, not overloaded.
-  EXPECT_THROW((void)server.submit(Function::Sigmoid, input, best_effort),
-               OverloadedError);
-  EXPECT_EQ(server.counters().shed_priority, 1u);
-  EXPECT_EQ(server.counters().rejected_overload, 0u);
-
-  // Higher priorities still fill the queue to true capacity.
-  futures.push_back(server.submit(Function::Sigmoid, input));  // normal
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(server.submit(Function::Sigmoid, input, high));
-  }
-  EXPECT_EQ(server.pending(), 8u);
-  EXPECT_THROW((void)server.submit(Function::Sigmoid, input, high),
-               OverloadedError);
-  EXPECT_EQ(server.counters().rejected_overload, 1u);
-  EXPECT_EQ(server.counters().shed_priority, 1u);
-
-  server.shutdown();  // drains all eight accepted requests
-  const core::BatchNacu direct{config};
-  const std::vector<fp::Fixed> want =
-      direct.evaluate(Function::Sigmoid, input);
-  for (auto& future : futures) {
-    const std::vector<fp::Fixed> got = future.get();
-    ASSERT_EQ(got.size(), want.size());
-    EXPECT_EQ(got[0].raw(), want[0].raw());
-  }
-  const InferenceServer::Counters counters = server.counters();
-  EXPECT_EQ(counters.accepted, 8u);
-  EXPECT_EQ(counters.completed, 8u);
-}
-
-TEST(Admission, AccountingIsExactUnderConcurrentMultiPriorityLoad) {
-  // Six client threads hammer a two-shard server with mixed priorities,
-  // a metered tenant, and occasional tight deadlines, while the main
-  // thread pulls the plug mid-stream. Every submission must land in
-  // exactly one bucket, client-side tallies must equal the server's
-  // counters, and every accepted future must become ready (value or
+TEST(Admission, AccountingIsExactUnderConcurrentLoad) {
+  // Six client threads hammer a two-shard server with a small queue and
+  // occasional tight or born-expired deadlines, while the main thread
+  // pulls the plug mid-stream. Every submission must land in exactly one
+  // bucket, client-side tallies must equal the server's counters, and
+  // every accepted future must become ready (value or
   // DeadlineExpiredError).
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
@@ -271,7 +132,6 @@ TEST(Admission, AccountingIsExactUnderConcurrentMultiPriorityLoad) {
   options.batcher.max_wait = std::chrono::microseconds{50};
   options.batcher.queue_capacity = 64;
   options.shards = 2;
-  options.admission.quotas.emplace_back(3u, TenantQuota{200000.0, 32.0});
   InferenceServer server{config, options};
 
   constexpr std::size_t kClients = 6;
@@ -279,7 +139,6 @@ TEST(Admission, AccountingIsExactUnderConcurrentMultiPriorityLoad) {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> overloaded{0};
   std::atomic<std::uint64_t> shutdown_rejected{0};
-  std::atomic<std::uint64_t> quota_rejected{0};
   std::atomic<std::uint64_t> deadline_rejected{0};
   std::atomic<std::uint64_t> got_value{0};
   std::atomic<std::uint64_t> got_shed{0};
@@ -294,10 +153,6 @@ TEST(Admission, AccountingIsExactUnderConcurrentMultiPriorityLoad) {
       std::vector<std::future<std::vector<fp::Fixed>>> futures;
       for (std::size_t i = 0; i < kPerClient; ++i) {
         SubmitOptions submit_options;
-        submit_options.priority = static_cast<Priority>(i % 3);
-        if (i % 5 == 0) {
-          submit_options.tenant = 3;  // the metered tenant
-        }
         if (i % 7 == 0) {
           // Tight enough that some expire while queued.
           submit_options.deadline =
@@ -311,11 +166,9 @@ TEST(Admission, AccountingIsExactUnderConcurrentMultiPriorityLoad) {
               server.submit(Function::Sigmoid, input, submit_options));
           ++accepted;
         } catch (const OverloadedError&) {
-          ++overloaded;  // true overload or priority shed — both throw this
+          ++overloaded;
         } catch (const ShutdownError&) {
           ++shutdown_rejected;
-        } catch (const QuotaExceededError&) {
-          ++quota_rejected;
         } catch (const DeadlineExpiredError&) {
           ++deadline_rejected;
         }
@@ -340,15 +193,13 @@ TEST(Admission, AccountingIsExactUnderConcurrentMultiPriorityLoad) {
 
   // Exactly one outcome per submission attempt.
   EXPECT_EQ(accepted.load() + overloaded.load() + shutdown_rejected.load() +
-                quota_rejected.load() + deadline_rejected.load(),
+                deadline_rejected.load(),
             kClients * kPerClient);
   // Client tallies equal the server's own books.
   const InferenceServer::Counters counters = server.counters();
   EXPECT_EQ(counters.accepted, accepted.load());
-  EXPECT_EQ(counters.rejected_overload + counters.shed_priority,
-            overloaded.load());
+  EXPECT_EQ(counters.rejected_overload, overloaded.load());
   EXPECT_EQ(counters.rejected_shutdown, shutdown_rejected.load());
-  EXPECT_EQ(counters.rejected_quota, quota_rejected.load());
   EXPECT_EQ(counters.rejected_deadline, deadline_rejected.load());
   // The drain guarantee: every accepted future became ready, none twice,
   // none with an unexpected error.

@@ -11,9 +11,9 @@
 //    responses sit unread, and one Client shared by a sender and a reader
 //    thread;
 //  * robustness — a hostile or broken byte stream (torn 1-byte writes,
-//    zero-length and oversized frames, garbage and retired opcodes,
-//    truncated payloads, out-of-format raws, a client vanishing
-//    mid-request) never crashes the server and never leaks a pending
+//    zero-length and oversized frames, garbage and retired opcodes, a v4
+//    options block, truncated payloads, out-of-format raws, a client
+//    vanishing mid-request) never crashes the server and never leaks a pending
 //    promise: framing-level damage closes that one connection,
 //    payload-level damage is answered with a typed kBadRequest frame on a
 //    connection that keeps serving, and in every case the server still
@@ -133,19 +133,17 @@ void set_receive_timeout(Client& client, std::chrono::seconds timeout) {
 
 TEST(Wire, SubmitOptionsRoundTripEveryField) {
   WireSubmitOptions options;
-  options.priority = 2;
-  options.tenant = 0xDEADBEEFCAFEull;
   options.max_retries = 7;
   options.deadline_ns = -123456789;  // "already expired" is representable
 
   ByteWriter w;
   encode_submit_options(w, options);
   const std::vector<std::uint8_t> bytes = w.bytes();
+  // v5: u8 flags, u32 max_retries, i64 deadline_ns.
+  EXPECT_EQ(bytes.size(), 13u);
   ByteReader r{std::span<const std::uint8_t>{bytes}};
   const auto decoded = decode_submit_options(r);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->priority, options.priority);
-  EXPECT_EQ(decoded->tenant, options.tenant);
   EXPECT_EQ(decoded->max_retries, options.max_retries);
   ASSERT_TRUE(decoded->deadline_ns.has_value());
   EXPECT_EQ(*decoded->deadline_ns, *options.deadline_ns);
@@ -186,6 +184,12 @@ TEST(Wire, FramePrefixIsLittleEndianPayloadLength) {
 
 // -- nacu-wire v2 raw bodies -------------------------------------------------
 
+/// Bytes of a Submit frame besides its raws: length prefix, opcode, id,
+/// function, the 13-byte options block, element width and count.
+constexpr std::size_t kSubmitFrameBytes = 4 + 1 + 8 + 1 + 13 + 1 + 4;
+/// The same for SubmitSoftmax, which carries no function byte.
+constexpr std::size_t kSoftmaxFrameBytes = kSubmitFrameBytes - 1;
+
 /// The payload bytes after the opcode and request id of @p frame, a
 /// ResultFixed frame: its raw body.
 std::vector<std::uint8_t> result_body(const std::vector<std::uint8_t>& frame) {
@@ -211,8 +215,11 @@ TEST(Wire, Q411BodiesCostTwoBytesPerElement) {
       raws[0] = q4_11.min_raw();
       raws[1] = q4_11.max_raw();
     }
-    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 41 + 2 * n) << n;
-    EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(), 40 + 2 * n) << n;
+    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), kSubmitFrameBytes + 2 * n)
+        << n;
+    EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(),
+              kSoftmaxFrameBytes + 2 * n)
+        << n;
     EXPECT_EQ(encode_result_fixed(1, raws).size(), 18 + 2 * n) << n;
   }
 }
@@ -225,9 +232,10 @@ TEST(Wire, OneRawOutsideInt16WidensTheWholeBody) {
     const std::vector<std::uint8_t> result = encode_result_fixed(1, raws);
     EXPECT_EQ(result.size(), 18 + 8 * raws.size()) << outside;
     EXPECT_EQ(result[kLengthPrefixBytes + 9], kWideElementBytes) << outside;
-    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(), 41 + 8 * raws.size());
+    EXPECT_EQ(encode_submit(1, 0, raws, {}).size(),
+              kSubmitFrameBytes + 8 * raws.size());
     EXPECT_EQ(encode_submit_softmax(1, raws, {}).size(),
-              40 + 8 * raws.size());
+              kSoftmaxFrameBytes + 8 * raws.size());
   }
 }
 
@@ -562,6 +570,39 @@ TEST(Net, GarbageOpcodeGetsBadRequestAndTheConnectionKeepsServing) {
   EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
 }
 
+TEST(Net, V4OptionsBlockGetsBadRequestAndTheConnectionKeepsServing) {
+  NetFixture fx;
+  Client client{fx.server.port()};
+  ASSERT_TRUE(client.valid());
+  // A Submit as a v4 client builds it, every option at its default: the
+  // 22-byte options block (u8 priority = Normal, u8 flags, u64 tenant,
+  // u32 max_retries, i64 deadline_ns) that v5 cut to 13 bytes, then one
+  // narrow raw.
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(Opcode::kSubmit));
+  w.u64(77);
+  w.u8(static_cast<std::uint8_t>(Function::Sigmoid));
+  w.u8(1);   // priority
+  w.u8(0);   // flags
+  w.u64(0);  // tenant
+  w.u32(0);  // max_retries
+  w.i64(0);  // deadline_ns
+  w.u8(kNarrowElementBytes);
+  w.u32(1);
+  w.u16(0);
+  const std::vector<std::uint8_t> frame = finish_frame(w.take());
+  ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
+  const auto response = client.read_response();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->id, 77u);
+  EXPECT_EQ(response->error, ErrorCode::kBadRequest) << response->message;
+  // Same connection, next request: still served.
+  const std::vector<fp::Fixed> input{fp::Fixed::zero(client.format())};
+  EXPECT_NO_THROW((void)client.call(Function::Sigmoid, input));
+  EXPECT_EQ(fx.server.stats().immediate_errors, 1u);
+  EXPECT_EQ(fx.server.stats().protocol_errors, 0u);
+}
+
 TEST(Net, TruncatedBodyAndBadValuesGetBadRequestNotACrash) {
   NetFixture fx;
   Client client{fx.server.port()};
@@ -664,7 +705,8 @@ TEST(Net, TwelveBitServerAnswersANarrowRawOutsideItsFormatWithBadRequest) {
        {config.format.max_raw() + 1, config.format.min_raw() - 1}) {
     const std::vector<std::int64_t> raws{0, outside};
     const std::vector<std::uint8_t> frame = encode_submit(1, 0, raws, {});
-    ASSERT_EQ(frame.size(), 41 + 2 * raws.size());  // a 2-byte body
+    // A 2-byte body.
+    ASSERT_EQ(frame.size(), kSubmitFrameBytes + 2 * raws.size());
     ASSERT_TRUE(client.socket().send_all(frame.data(), frame.size()));
     const auto response = client.read_response();
     ASSERT_TRUE(response.has_value());
@@ -687,7 +729,8 @@ TEST(Net, TwentyBitServerRoundTripsWideBodiesBitIdentically) {
   nn::Rng rng{89};
   for (const Function f : {Function::Sigmoid, Function::Tanh, Function::Exp}) {
     const std::vector<fp::Fixed> input = random_batch(rng, config.format, 96);
-    ASSERT_EQ(encode_submit(1, 0, input, {}).size(), 41 + 8 * input.size());
+    ASSERT_EQ(encode_submit(1, 0, input, {}).size(),
+              kSubmitFrameBytes + 8 * input.size());
     expect_bit_equal(client.call(f, input), direct.evaluate(f, input),
                      "20-bit f=" + std::to_string(static_cast<int>(f)));
   }

@@ -512,13 +512,27 @@ TEST(ShardHealthUnit, FailureThresholdAndHalfOpenReopen) {
 
 TEST(RetryBudgetUnit, RefillsOnTheInjectedClock) {
   const FakeClock clock;
-  RetryBudget budget{/*tokens_per_s=*/10.0, /*burst=*/2.0, clock.fn()};
-  EXPECT_TRUE(budget.try_draw());
-  EXPECT_TRUE(budget.try_draw());
-  EXPECT_FALSE(budget.try_draw()) << "burst exhausted";
+  RetryBudget budget{/*tokens_per_s=*/10.0, /*burst=*/2.0, clock.now()};
+  EXPECT_TRUE(budget.try_draw(clock.now()));
+  EXPECT_TRUE(budget.try_draw(clock.now()));
+  EXPECT_FALSE(budget.try_draw(clock.now())) << "burst exhausted";
   clock.advance(std::chrono::milliseconds{100});  // +1 token at 10/s
-  EXPECT_TRUE(budget.try_draw());
-  EXPECT_FALSE(budget.try_draw());
+  EXPECT_TRUE(budget.try_draw(clock.now()));
+  EXPECT_FALSE(budget.try_draw(clock.now()));
+
+  // A long idle period refills only to the burst cap, never beyond.
+  clock.advance(std::chrono::seconds{10});
+  EXPECT_TRUE(budget.try_draw(clock.now()));
+  EXPECT_TRUE(budget.try_draw(clock.now()));
+  EXPECT_FALSE(budget.try_draw(clock.now())) << "refilled past the burst";
+
+  // A zero rate never refills: the burst is all there ever is.
+  RetryBudget frozen{/*tokens_per_s=*/0.0, /*burst=*/2.0, clock.now()};
+  EXPECT_TRUE(frozen.try_draw(clock.now()));
+  EXPECT_TRUE(frozen.try_draw(clock.now()));
+  EXPECT_FALSE(frozen.try_draw(clock.now()));
+  clock.advance(std::chrono::hours{1});
+  EXPECT_FALSE(frozen.try_draw(clock.now())) << "a zero rate refilled";
 }
 
 }  // namespace

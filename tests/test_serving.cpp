@@ -265,6 +265,46 @@ TEST(Serving, BackpressureRejectsExactlyAboveTheHighWaterMark) {
   EXPECT_EQ(counters.completed, 8u);
 }
 
+TEST(Serving, BackpressureIsExactWhenShardsSplitTheCapacityUnevenly) {
+  // queue_capacity 8 over 3 shards splits 3 + 3 + 2, so exactly 8
+  // requests are accepted across all shards and the 9th is rejected (a
+  // ceil(8 / 3) = 3 split would accept 9). Stealing is off, flushing is
+  // stalled and the supervisor is off (a stall pass would move a
+  // dispatcher's inbox), so every accepted request stays pending.
+  const NacuConfig config = config_for_bits(16);
+  ServerOptions options;
+  options.shards = 3;
+  options.work_stealing = false;
+  options.batcher.max_batch = 1 << 20;
+  options.batcher.max_wait = std::chrono::seconds{30};
+  options.batcher.queue_capacity = 8;
+  options.resilience.supervise = false;
+  InferenceServer server{config, options};
+
+  const std::vector<fp::Fixed> input{
+      fp::Fixed::from_double(-0.75, config.format)};
+  std::vector<std::future<std::vector<fp::Fixed>>> futures;
+  for (std::size_t i = 0; i < 8; ++i) {
+    futures.push_back(server.submit(Function::Sigmoid, input));
+  }
+  EXPECT_EQ(server.pending(), 8u);
+  EXPECT_THROW((void)server.submit(Function::Sigmoid, input),
+               OverloadedError);
+  EXPECT_EQ(server.pending(), 8u);
+
+  server.shutdown();
+  const BatchNacu direct{config};
+  const std::vector<fp::Fixed> want =
+      direct.evaluate(Function::Sigmoid, input);
+  for (auto& future : futures) {
+    expect_bit_equal(future.get(), want, "drained request");
+  }
+  const InferenceServer::Counters counters = server.counters();
+  EXPECT_EQ(counters.accepted, 8u);
+  EXPECT_EQ(counters.rejected_overload, 1u);
+  EXPECT_EQ(counters.completed, 8u);
+}
+
 TEST(Serving, ShutdownDrainsEveryAcceptedRequestThenRejects) {
   const NacuConfig config = config_for_bits(16);
   ServerOptions options;
@@ -455,23 +495,31 @@ Request tagged_request(std::size_t tag) {
 std::size_t tag_of(const Request& request) { return request.input.size(); }
 
 TEST(ShardQueue, TryPushEnforcesDepthLimitsExactlyAndMovesOnlyOnOk) {
-  ShardQueue queue{4};
+  // The queue's capacity is its one depth limit.
+  ShardQueue queue{2};
   Request request = tagged_request(10);
-  EXPECT_EQ(queue.try_push(request, 2), ShardQueue::Push::Ok);
+  EXPECT_EQ(queue.try_push(request), ShardQueue::Push::Ok);
   request = tagged_request(11);
-  EXPECT_EQ(queue.try_push(request, 2), ShardQueue::Push::Ok);
+  EXPECT_EQ(queue.try_push(request), ShardQueue::Push::Ok);
   request = tagged_request(12);
-  // At the class depth limit: rejected, and the request is NOT consumed —
-  // the server relies on this to probe the next shard with the same object.
-  EXPECT_EQ(queue.try_push(request, 2), ShardQueue::Push::Full);
+  // At capacity: rejected, and the request is NOT consumed — the server
+  // relies on this to probe the next shard with the same object.
+  EXPECT_EQ(queue.try_push(request), ShardQueue::Push::Full);
   EXPECT_EQ(tag_of(request), 12u);
-  EXPECT_EQ(queue.try_push(request, 4), ShardQueue::Push::Ok);
+  EXPECT_EQ(queue.size(), 2u);
+  // A slot taken into a dispatch group is free again.
+  ASSERT_EQ(queue.drain_into([](Request&&) {}, 1), 1u);
+  queue.on_taken(1);
+  EXPECT_EQ(queue.try_push(request), ShardQueue::Push::Ok);
+  EXPECT_EQ(queue.size(), 2u);
+
+  // A capacity of 0 clamps to one slot.
+  ShardQueue tiny{0};
   request = tagged_request(13);
-  // A depth limit above capacity clamps to capacity.
-  EXPECT_EQ(queue.try_push(request, 100), ShardQueue::Push::Ok);
+  EXPECT_EQ(tiny.try_push(request), ShardQueue::Push::Ok);
   request = tagged_request(14);
-  EXPECT_EQ(queue.try_push(request, 100), ShardQueue::Push::Full);
-  EXPECT_EQ(queue.size(), 4u);
+  EXPECT_EQ(tiny.try_push(request), ShardQueue::Push::Full);
+  EXPECT_EQ(tiny.size(), 1u);
 }
 
 TEST(ShardQueue, StealTakesTheOldestAndTransfersAccountingToTheThief) {
@@ -479,7 +527,7 @@ TEST(ShardQueue, StealTakesTheOldestAndTransfersAccountingToTheThief) {
   ShardQueue thief{8};
   for (std::size_t tag = 0; tag < 4; ++tag) {
     Request request = tagged_request(tag);
-    ASSERT_EQ(victim.try_push(request, 8), ShardQueue::Push::Ok);
+    ASSERT_EQ(victim.try_push(request), ShardQueue::Push::Ok);
   }
   std::vector<std::size_t> stolen;
   const std::size_t got = victim.steal_into(
@@ -506,10 +554,10 @@ TEST(ShardQueue, StealTakesTheOldestAndTransfersAccountingToTheThief) {
 TEST(ShardQueue, StopRejectsNewPushesButDrainsWhatWasAccepted) {
   ShardQueue queue{4};
   Request request = tagged_request(1);
-  ASSERT_EQ(queue.try_push(request, 4), ShardQueue::Push::Ok);
+  ASSERT_EQ(queue.try_push(request), ShardQueue::Push::Ok);
   queue.stop();
   request = tagged_request(2);
-  EXPECT_EQ(queue.try_push(request, 4), ShardQueue::Push::Stopped);
+  EXPECT_EQ(queue.try_push(request), ShardQueue::Push::Stopped);
   // The drain guarantee at queue level: wait reports Work while accepted
   // requests remain, and Stopped only once the inbox is empty — so a
   // dispatcher can never exit with undelivered promises.
@@ -893,16 +941,16 @@ TEST(ShardQueue, FullAndStoppedLeaveEveryRequestFieldIntact) {
 
   ShardQueue full_queue{1};
   Request filler = tagged_request(1);
-  ASSERT_EQ(full_queue.try_push(filler, 1), ShardQueue::Push::Ok);
+  ASSERT_EQ(full_queue.try_push(filler), ShardQueue::Push::Ok);
   ShardQueue stopped_queue{1};
   stopped_queue.stop();
 
   Request request = make();
-  EXPECT_EQ(full_queue.try_push(request, 1), ShardQueue::Push::Full);
+  EXPECT_EQ(full_queue.try_push(request), ShardQueue::Push::Full);
   expect_intact(request, "after Full");
   // The promise still has its shared state and no future taken from it.
   std::future<std::vector<fp::Fixed>> future = request.result.get_future();
-  EXPECT_EQ(stopped_queue.try_push(request, 1), ShardQueue::Push::Stopped);
+  EXPECT_EQ(stopped_queue.try_push(request), ShardQueue::Push::Stopped);
   expect_intact(request, "after Stopped");
   // ... and fulfilling it still reaches that future.
   request.result.set_value({fp::Fixed::from_raw(5, fmt)});
@@ -933,15 +981,15 @@ TEST(ShardQueue, RequestSurvivingManyFullProbesDispatchesBitIdentically) {
 
   ShardQueue full_queue{1};
   Request filler = tagged_request(1);
-  ASSERT_EQ(full_queue.try_push(filler, 1), ShardQueue::Push::Ok);
+  ASSERT_EQ(full_queue.try_push(filler), ShardQueue::Push::Ok);
   constexpr int kProbes = 16;
   for (int probe = 0; probe < kProbes; ++probe) {
-    ASSERT_EQ(full_queue.try_push(request, 1), ShardQueue::Push::Full)
+    ASSERT_EQ(full_queue.try_push(request), ShardQueue::Push::Full)
         << "probe " << probe;
   }
 
   ShardQueue home{4};
-  ASSERT_EQ(home.try_push(request, 4), ShardQueue::Push::Ok);
+  ASSERT_EQ(home.try_push(request), ShardQueue::Push::Ok);
   MicroBatcher batcher{BatcherOptions{.max_batch = 4}};
   ASSERT_EQ(home.drain_into(
                 [&](Request&& r) { batcher.push(std::move(r)); }, 4),
