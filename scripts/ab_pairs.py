@@ -16,9 +16,15 @@ pair to pair. Hypervisor steal is read from /proc/stat around every run
 and printed with it.
 
 The summary holds, per workload and end-to-end metric of BENCHMARK.json:
-each side's median and quartiles, and the change's wins (pairs in which
-the change read better, in the direction BENCHMARK.json gives). It is
-printed as a Markdown table in the shape of docs/BENCHMARKS.md. A run
+each side's median and quartiles, the change's wins (pairs in which the
+change read better, in the direction BENCHMARK.json gives), Δ (the
+change's median over the parent's, minus 1) and a verdict. The verdict
+is `claim` when the change wins at least nine tenths of the pairs and the
+medians differ, in its favour, by more than the distance between the
+parent's quartiles; `over bound` when the change's median is worse than
+the parent's by more than the metric's BENCHMARK.json bound; and blank
+otherwise. It is printed as a Markdown table in the shape of
+docs/BENCHMARKS.md. A run
 that fails, returns a wrong result bit or reports failed requests stops
 the script with exit status 1; for the last two, the error carries the
 run's steal reading and its serve-counter line (stalls, retried,
@@ -139,11 +145,23 @@ def fmt(value: float) -> str:
     return f"{value:.3g}"
 
 
+def verdict(parent: tuple[float, float, float], change_median: float,
+            wins: int, pairs: int, metric: dict) -> str:
+    """`claim`, `over bound` or blank, as the module docstring defines."""
+    med, q1, q3 = parent
+    sign = 1 if metric["better"] == "higher" else -1
+    if 10 * wins >= 9 * pairs and sign * (change_median - med) > q3 - q1:
+        return "claim"
+    if med and -sign * (change_median / med - 1) > metric["bound"]:
+        return "over bound"
+    return ""
+
+
 def print_table(runs: list[dict], workloads: list[str], seeds: list[int],
                 end_to_end: list[dict]) -> None:
     """The Markdown summary: one row per workload and end-to-end metric."""
-    print("| workload | metric | parent | change | wins |")
-    print("|---|---|---|---|---|")
+    print("| workload | metric | parent | change | wins | Δ | verdict |")
+    print("|---|---|---|---|---|---|---|")
     for workload in workloads:
         pairs = {side: {r["seed"]: r["metrics"] for r in runs
                         if r["workload"] == workload and r["side"] == side}
@@ -151,16 +169,18 @@ def print_table(runs: list[dict], workloads: list[str], seeds: list[int],
         for metric in end_to_end:
             name = metric["name"]
             scale, label = SHOWN_AS.get(metric["unit"], (1.0, ""))
-            cells = []
-            for side in ("parent", "change"):
-                med, q1, q3 = summarize(
-                    [scale * pairs[side][s][name] for s in seeds])
-                cells.append(f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]")
+            parent, change = (
+                summarize([scale * pairs[side][s][name] for s in seeds])
+                for side in ("parent", "change"))
+            cells = [f"{fmt(med)} [{fmt(q1)}, {fmt(q3)}]"
+                     for med, q1, q3 in (parent, change)]
             sign = 1 if metric["better"] == "higher" else -1
             wins = sum(sign * (pairs["change"][s][name] -
                                pairs["parent"][s][name]) > 0 for s in seeds)
+            delta = f"{change[0] / parent[0] - 1:+.1%}" if parent[0] else "–"
             print(f"| `{workload}` | `{name}`{label} | {cells[0]} | "
-                  f"{cells[1]} | {wins}/{len(seeds)} |")
+                  f"{cells[1]} | {wins}/{len(seeds)} | {delta} | "
+                  f"{verdict(parent, change[0], wins, len(seeds), metric)} |")
 
 
 def main() -> int:
@@ -197,7 +217,8 @@ def main() -> int:
 
     print(f"\n{len(seeds)} alternating pairs of {args.seconds:g}-s runs per "
           f"workload, seeds {' '.join(args.seeds)}; median [first quartile, "
-          f"third quartile]; wins = pairs where the change read better.\n")
+          f"third quartile]; wins = pairs where the change read better; "
+          f"Δ = change median / parent median - 1.\n")
     print_table(runs, args.workloads, seeds, spec["end_to_end"])
     steals = [r["steal"] for r in runs]
     print(f"\nsteal per run: median {statistics.median(steals):.2%}, "

@@ -12,12 +12,17 @@
 #include "fault/detectors.hpp"
 #include "obs/trace.hpp"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 namespace nacu::serve {
 namespace {
 
-/// A shard whose heartbeat stays frozen this long while its inbox holds
-/// work is declared stalled: its circuit opens and its inbox
-/// redistributes.
+/// A shard whose heartbeat stays frozen this long past max_wait while it
+/// holds work is declared stalled: its circuit opens and its inbox
+/// redistributes. (A dispatcher holding a partial group sleeps up to
+/// max_wait without beating.)
 constexpr std::chrono::milliseconds kStallTimeout{50};
 /// Open → HalfOpen cooldown.
 constexpr std::chrono::milliseconds kOpenCooldown{5};
@@ -367,6 +372,11 @@ void InferenceServer::dispatcher_loop(std::size_t shard_index) {
 }
 
 void InferenceServer::dispatcher_run(std::size_t shard_index) {
+#if defined(__linux__)
+  // A timed sleep may overrun by the thread's timer slack (50 µs by
+  // default), which would stretch every max_wait hold by up to that much.
+  (void)prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   Shard& shard = *shards_[shard_index];
   const std::size_t max_batch = shard.batcher.options().max_batch;
   const bool stealing =
@@ -409,16 +419,18 @@ void InferenceServer::dispatcher_run(std::size_t shard_index) {
       }
     }
     if (!stopping && !shard.batcher.should_flush(now())) {
-      // Partial group: sleep until the oldest request ages out or new
-      // ingress arrives (which may complete the group). Time only
-      // advances through should_flush on the next pass. With an injected
-      // clock the flush deadline is a fake-time point that a real
-      // condition variable cannot wait until — bound the sleep on the
-      // real clock and re-check fake time each wake instead.
+      // Partial group: sleep until the oldest request ages out or enough
+      // ingress arrives to fill the group — a push that cannot fill it
+      // does not wake us. Time only advances through should_flush on the
+      // next pass. With an injected clock the flush deadline is a
+      // fake-time point that a real condition variable cannot wait until
+      // — bound the sleep on the real clock and re-check fake time each
+      // wake instead.
       if (options_.clock) {
         (void)shard.queue.wait(std::chrono::steady_clock::now() + kIdlePoll);
       } else {
-        (void)shard.queue.wait(shard.batcher.flush_deadline());
+        (void)shard.queue.wait(shard.batcher.flush_deadline(),
+                               max_batch - shard.batcher.size());
       }
       continue;
     }
@@ -658,11 +670,12 @@ void InferenceServer::supervisor_pass(
       recover_dead_shard(i, now);
       continue;
     }
-    // Stall detection: heartbeat frozen while work queues. A stalled
-    // thread is never killed (never safe); its circuit opens and its
-    // *inbox* redistributes — requests already drained into its private
-    // batcher stay with it until it resumes. Pointless with one shard
-    // (nowhere to redistribute to).
+    // Stall detection: heartbeat frozen while work queues, for longer
+    // than a partial-group hold can last. A stalled thread is never
+    // killed (never safe); its circuit opens and its *inbox*
+    // redistributes — requests already drained into its private batcher
+    // stay with it until it resumes. Pointless with one shard (nowhere to
+    // redistribute to).
     const std::uint64_t hb = shard.health.heartbeat();
     if (hb != last_heartbeat_[i]) {
       last_heartbeat_[i] = hb;
@@ -673,7 +686,8 @@ void InferenceServer::supervisor_pass(
       // starts when work arrives.
       last_progress_[i] = now;
     } else if (shards_.size() > 1 &&
-               now - last_progress_[i] >= kStallTimeout) {
+               now - last_progress_[i] >=
+                   kStallTimeout + options_.batcher.max_wait) {
       shard.health.record_stall();
       if (shard.health.force_open(now)) {
         circuit_opens_.add();

@@ -11,10 +11,12 @@
 //     mutex. The admission decision (capacity, stopped flag) happens
 //     under the same lock, so backpressure accounting is exact: at most
 //     capacity requests are ever accepted-but-undispatched per shard, and
-//     a rejected push enqueues nothing. Producers notify the consumer
-//     only on the empty→non-empty transition — under load the inbox is
-//     rarely empty, so the futex traffic that throttled the single-mutex
-//     design disappears;
+//     a rejected push enqueues nothing. A producer notifies the consumer
+//     only when its push brings the inbox to the size the consumer sleeps
+//     for (wait's wake_at): 1 for an idle dispatcher, the rest of its
+//     group for one holding a partial group. So a push wakes a
+//     dispatcher only when it can dispatch, and every other push costs
+//     no futex traffic;
 //   * consumer side — the shard's dispatcher drains the inbox into its
 //     *private* MicroBatcher deque (drain_into swaps under the producer
 //     lock, at most one group's worth per wake so the remainder stays
@@ -77,7 +79,7 @@ class ShardQueue {
   /// Moves from @p request only on Ok, so the caller can probe another
   /// shard after Full.
   [[nodiscard]] Push try_push(Request& request) {
-    bool was_empty = false;
+    bool wake = false;
     {
       const std::lock_guard<std::mutex> lock{mutex_};
       if (stopped_) {
@@ -86,11 +88,11 @@ class ShardQueue {
       if (pending_.load(std::memory_order_relaxed) >= capacity_) {
         return Push::Full;
       }
-      was_empty = inbox_.empty();
       inbox_.push_back(std::move(request));
       pending_.fetch_add(1, std::memory_order_relaxed);
+      wake = inbox_.size() == wake_at_;
     }
-    if (was_empty) {
+    if (wake) {
       ready_.notify_one();  // only this shard's dispatcher waits
     }
     return Push::Ok;
@@ -138,28 +140,27 @@ class ShardQueue {
     pending_.fetch_sub(n, std::memory_order_relaxed);
   }
 
-  /// Consumer: sleep until the inbox is non-empty, the queue is stopped,
-  /// or @p deadline (when given) passes. A Stopped return guarantees no
-  /// request can ever arrive again — combined with an empty private
-  /// deque, the dispatcher may exit.
+  /// Consumer: sleep until the inbox holds @p wake_at requests, the queue
+  /// is stopped, or @p deadline (when given) passes; Work whenever the
+  /// inbox is non-empty on return. A Stopped return guarantees no request
+  /// can ever arrive again — combined with an empty private deque, the
+  /// dispatcher may exit.
   [[nodiscard]] Wait wait(
-      std::optional<std::chrono::steady_clock::time_point> deadline) {
+      std::optional<std::chrono::steady_clock::time_point> deadline,
+      std::size_t wake_at = 1) {
     std::unique_lock<std::mutex> lock{mutex_};
-    for (;;) {
-      if (!inbox_.empty()) {
-        return Wait::Work;
-      }
-      if (stopped_) {
-        return Wait::Stopped;
-      }
-      if (deadline.has_value()) {
-        if (ready_.wait_until(lock, *deadline) == std::cv_status::timeout) {
-          return inbox_.empty() ? Wait::Timeout : Wait::Work;
-        }
-      } else {
-        ready_.wait(lock);
-      }
+    wake_at_ = wake_at;
+    const auto woken = [&] { return inbox_.size() >= wake_at_ || stopped_; };
+    if (deadline.has_value()) {
+      (void)ready_.wait_until(lock, *deadline, woken);
+    } else {
+      ready_.wait(lock, woken);
     }
+    wake_at_ = 1;
+    if (!inbox_.empty()) {
+      return Wait::Work;
+    }
+    return stopped_ ? Wait::Stopped : Wait::Timeout;
   }
 
   /// Stop admission on this queue: subsequent try_push returns Stopped
@@ -176,9 +177,11 @@ class ShardQueue {
  private:
   const std::size_t capacity_;
   std::atomic<std::size_t> pending_{0};
-  std::mutex mutex_;  ///< producer lock: inbox, stopped flag, cv
+  std::mutex mutex_;  ///< producer lock: inbox, stopped flag, wake_at_, cv
   std::condition_variable ready_;
   std::deque<Request> inbox_;
+  std::size_t wake_at_ = 1;  ///< inbox size whose push notifies: the
+                             ///< sleeping consumer's wake_at, else 1
   bool stopped_ = false;
 };
 

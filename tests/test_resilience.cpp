@@ -5,7 +5,9 @@
 // fault::FaultInjector armed on a shard engine, and time through the
 // injected fake clock — the watchdog thread is disabled (supervise =
 // false) and recovery is driven by explicit poke_supervisor() calls, so
-// nothing here depends on real timing. The claims under test:
+// nothing here depends on real timing. The one exception runs the real
+// watchdog to show that a long partial-group hold is not a stall. The
+// claims under test:
 //
 //  * supervisor respawn — a dispatcher killed by an exception is joined,
 //    its engine rebuilt, its thread respawned, and its orphaned requests
@@ -19,6 +21,9 @@
 //    scalar-path recompute), the function quarantines, and the
 //    supervisor's scrub heals transients (closing the circuit) while
 //    stuck-ats stay quarantined-but-correct forever;
+//  * stall detection — a shard whose heartbeat stays frozen while it
+//    holds work is stalled only once the freeze outlasts max_wait, the
+//    longest a dispatcher legitimately sleeps on a partial group;
 //  * circuit breaking — three detections in a row trip the breaker, Open
 //    shards are routed around (with the fail-static fallback keeping a
 //    1-shard server serving), cooldown moves Open to HalfOpen, and a
@@ -422,6 +427,31 @@ TEST(Resilience, StallRedistributesQueuedWorkToHealthyShards) {
   }
   server.shutdown();
   EXPECT_EQ(server.counters().accepted, server.counters().completed);
+}
+
+TEST(Resilience, HoldingAPartialGroupIsNotAStall) {
+  // Real clock, real watchdog: a dispatcher holding a lone request sleeps
+  // its whole max_wait without beating, with the request pending — four
+  // kStallTimeouts here. That is the batching policy, not a stall.
+  const NacuConfig config = config_for_bits(16);
+  const BatchNacu direct{config};
+  ServerOptions options;
+  options.shards = 2;
+  options.batcher.max_wait = std::chrono::milliseconds{200};
+  InferenceServer server{config, options};
+
+  const std::vector<fp::Fixed> in = make_input(config, {64, -64, 2048});
+  const auto start = std::chrono::steady_clock::now();
+  auto fut = server.submit(Function::Sigmoid, in);
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds{10}), std::future_status::ready);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, options.batcher.max_wait)
+      << "the request was not held";
+  expect_bits(fut.get(), direct.evaluate(Function::Sigmoid, in), "held");
+
+  const auto c = server.counters();
+  EXPECT_EQ(c.stalls, 0u);
+  EXPECT_EQ(c.circuit_opens, 0u);
+  server.shutdown();
 }
 
 TEST(Resilience, OpenCircuitHalfOpensAfterCooldownAndClosesOnCleanTrial) {

@@ -117,6 +117,24 @@ TEST(NacuVerilog, RejectsApproximateReciprocalConfig) {
   EXPECT_THROW(emit_nacu_verilog(config), std::invalid_argument);
 }
 
+TEST(NacuVerilog, CommittedRtlIsTheDefaultEmission) {
+  // rtl/ holds what `generate_rtl` writes with its defaults (16 bits, 32
+  // vectors); a datapath or generator change must regenerate it.
+  const VerilogBundle bundle =
+      emit_nacu_verilog(core::config_for_bits(16), 32);
+  const auto committed = [](const char* name) {
+    std::ifstream in{std::filesystem::path{NACU_SOURCE_DIR} / "rtl" / name};
+    std::stringstream contents;
+    contents << in.rdbuf();
+    return contents.str();
+  };
+  EXPECT_TRUE(committed("nacu.v") == bundle.design)
+      << "rtl/nacu.v is stale: regenerate with ./build/examples/generate_rtl";
+  EXPECT_TRUE(committed("nacu_tb.v") == bundle.testbench)
+      << "rtl/nacu_tb.v is stale: regenerate with "
+         "./build/examples/generate_rtl";
+}
+
 TEST(NacuVerilog, WriteBundleCreatesFiles) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "nacu_rtlgen_test";

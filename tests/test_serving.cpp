@@ -11,8 +11,8 @@
 // stealing reshuffles it: a full shards × max_batch × config matrix plus
 // a single-thread-burst stealing test pin it down. Around that:
 // ShardQueue unit coverage (exact depth accounting, steal transfer, stop
-// semantics), exact backpressure at the high-water mark, the
-// graceful-shutdown drain guarantee raced against bursty unbalanced
+// semantics, the wake rule), exact backpressure at the high-water mark,
+// the graceful-shutdown drain guarantee raced against bursty unbalanced
 // submitters, per-request error isolation inside coalesced groups, and
 // the obs:: serving metrics. The whole binary also runs under the CI TSan
 // job (serving-smoke) — submission, dispatch, stealing, and shutdown are
@@ -572,6 +572,64 @@ TEST(ShardQueue, WaitTimesOutOnAnEmptyQueue) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds{1};
   EXPECT_EQ(queue.wait(deadline), ShardQueue::Wait::Timeout);
+}
+
+// The wake rule: a consumer waiting with wake_at = k sleeps until the
+// inbox holds k requests — the pushes a holding dispatcher cannot fill
+// its group with do not wake it — or until its deadline or stop().
+
+/// A ShardQueue holding @p count tagged requests.
+void push_requests(ShardQueue& queue, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    Request request = tagged_request(i);
+    ASSERT_EQ(queue.try_push(request), ShardQueue::Push::Ok);
+  }
+}
+
+TEST(ShardQueue, WaitBelowItsWakeSizeSleepsUntilTheDeadline) {
+  ShardQueue queue{8};
+  push_requests(queue, 2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds{20};
+  EXPECT_EQ(queue.wait(deadline, 3), ShardQueue::Wait::Work);
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+}
+
+TEST(ShardQueue, PushReachingTheWakeSizeEndsTheWait) {
+  ShardQueue queue{8};
+  push_requests(queue, 2);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread producer{[&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
+    Request request = tagged_request(2);
+    EXPECT_EQ(queue.try_push(request), ShardQueue::Push::Ok);
+  }};
+  EXPECT_EQ(queue.wait(start + std::chrono::seconds{10}, 3),
+            ShardQueue::Wait::Work);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5});
+  producer.join();
+}
+
+TEST(ShardQueue, StopEndsAWakeSizeWaitAndQueuedWorkStillDrains) {
+  ShardQueue queue{8};
+  push_requests(queue, 2);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread stopper{[&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
+    queue.stop();
+  }};
+  // Stopped with requests queued is still Work: the drain guarantee.
+  EXPECT_EQ(queue.wait(start + std::chrono::seconds{10}, 3),
+            ShardQueue::Wait::Work);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5});
+  stopper.join();
+  EXPECT_EQ(queue.drain_into([](Request&&) {}, 10), 2u);
+  queue.on_taken(2);
+  EXPECT_EQ(queue.wait(std::chrono::steady_clock::now() +
+                           std::chrono::seconds{10},
+                       3),
+            ShardQueue::Wait::Stopped);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5});
 }
 
 // --- Sharded determinism and stealing -----------------------------------
